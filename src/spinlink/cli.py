@@ -3,16 +3,14 @@
 Exit codes: 0 when everything passes, 1 when a gating verification fails,
 2 on usage errors.  The conjecture probes never gate.  Output ordering is
 deterministic (exponent-sorted terms, no timestamps) so reports can be
-used as golden files.  SPINLINK_THREADS caps the suite worker pool.
+used as golden files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import xcalc
 from .qalg import GradedScalar, appendixA_suite
@@ -36,17 +34,6 @@ def _emit_report(report: list[dict], fmt: str) -> bool:
                 line += f" witness={e['witness']}"
             print(line)
     return ok
-
-
-def _pool_run(items, threads: int) -> list[dict]:
-    if threads <= 1:
-        out = []
-        for fn in items:
-            out.extend(fn())
-        return out
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(lambda f: f(), items))
-    return [e for chunk in chunks for e in chunk]
 
 
 # -- verification suites ---------------------------------------------------------
@@ -183,10 +170,9 @@ def _dump_operator(name: str, n: int):
         return rep.H(n)
     if lname == "wenzl-c":
         return clifford.wenzl_C(n)
-    if lname.startswith("x"):
-        k = int(lname[1:])
+    if lname.startswith("x") and lname[1:].isdigit():
         fam = xcalc.build_X(n, check_product_route=False)
-        return fam[k]
+        return fam[int(lname[1:])]
     if lname == "braiding":
         return xcalc.braiding(n)
     if lname == "inverse-braiding":
@@ -208,6 +194,16 @@ def _dump_operator(name: str, n: int):
 # -- main -------------------------------------------------------------------------
 
 
+def _rank(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="spinlink", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     polysub = poly.add_subparsers(dest="flavor", required=True)
 
     spin = polysub.add_parser("spin", help="spin-colored type B polynomial")
-    spin.add_argument("--n", type=int, required=True, help="rank of so(2n+1)")
+    spin.add_argument("--n", type=_rank, required=True, help="rank of so(2n+1)")
     spin.add_argument("--strands", type=int, default=None)
     spin.add_argument("--braid", type=str, default="")
     spin.add_argument("--normalize", choices=("raw", "unframed", "intro"), default="raw")
@@ -225,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     spin.add_argument("--format", choices=("text", "json"), default="text")
 
     sln = polysub.add_parser("sln", help="colored sl_N polynomial")
-    sln.add_argument("--N", type=int, required=True)
+    sln.add_argument("--N", type=_rank, required=True)
     sln.add_argument("--colors", type=str, required=True, help="comma-separated strand colors")
     sln.add_argument("--braid", type=str, default="")
     sln.add_argument("--strands", type=int, default=None)
@@ -234,13 +230,13 @@ def main(argv: list[str] | None = None) -> int:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
     verify.add_argument("--bound", type=int, default=10, help="parameter bound (qalg)")
-    verify.add_argument("--n", type=int, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
+    verify.add_argument("--n", type=_rank, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
     verify.add_argument("--exact-rank", action="store_true", help="use fraction-free elimination for ranks")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     dump = sub.add_parser("dump", help="dump an operator as canonical JSON rows")
     dump.add_argument("operator")
-    dump.add_argument("--n", type=int, required=True)
+    dump.add_argument("--n", type=_rank, required=True)
 
     args = parser.parse_args(argv)
 
@@ -264,8 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "verify":
-            threads = int(os.environ.get("SPINLINK_THREADS", "1"))
-            report = _pool_run(_SUITES[args.suite](args), threads)
+            report = [e for run in _SUITES[args.suite](args) for e in run()]
             ok = _emit_report(report, args.format)
             if args.suite == "conjectures":
                 return 0  # probes never gate

@@ -192,15 +192,6 @@ class LaurentPoly:
         """Evaluate at a nonzero rational value of v."""
         return sum((Fraction(c) * v ** e for e, c in self.c.items()), Fraction(0))
 
-    def subs_q(self, q: Fraction) -> Fraction:
-        """Evaluate at a rational value of q; requires all exponents even."""
-        tot = Fraction(0)
-        for e, c in self.c.items():
-            if e % 2:
-                raise ValueError("half-integer q-exponent; substitute in v instead")
-            tot += Fraction(c) * q ** (e // 2)
-        return tot
-
     # -- printing / serialization ----------------------------------------
 
     def q_terms(self) -> list[tuple[Fraction, Fraction]]:

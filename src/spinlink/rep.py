@@ -225,9 +225,6 @@ class LinOp:
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
 
-    def commutes_with(self, other: "LinOp") -> bool:
-        return (self @ other) == (other @ self)
-
     def dump_rows(self) -> list[tuple[list[int], list[int], str]]:
         """Canonically ordered (domain_key, codomain_key, scalar) triples."""
         rows = []
@@ -455,18 +452,6 @@ def _phi1_pairs(n: int) -> dict[tuple[int, int], RatFunc]:
         vals[(2 * n + 1 - i, i - 1)] = RatFunc.from_poly(-mq2(2 * n - i))  # b_i against a_i
     vals[(n, n)] = RatFunc.from_poly(mq2(n) * qint(2))
     return vals
-
-
-def phi1(n: int) -> dict[int, tuple[int, RatFunc]]:
-    """The self-duality isomorphism on V_1 as data: basis vector v maps to
-    coeff * w^* where the returned entry is v -> (w, coeff)."""
-    return {v: (w, c) for (v, w), c in _phi1_pairs(n).items()}
-
-
-def phi1_inv(n: int) -> dict[int, tuple[int, RatFunc]]:
-    """Inverse of phi1, as dual-basis data: w^* maps to coeff * v, returned
-    as w -> (v, coeff)."""
-    return {w: (v, c.inv()) for (v, w), c in _phi1_pairs(n).items()}
 
 
 def cap_1(n: int) -> LinOp:

@@ -381,12 +381,6 @@ def kauffman_jones(braid: BraidWord) -> GradedScalar:
     return GradedScalar(0, body * corr)
 
 
-def kauffman_oracle(braid: BraidWord, normalize: bool = True) -> GradedScalar:
-    """The Kauffman-bracket value of the braid closure: writhe-corrected by
-    default, or the raw all-loops state sum with normalize=False."""
-    return kauffman_jones(braid) if normalize else kauffman_bracket(braid)
-
-
 def closure_components(braid: BraidWord) -> int:
     """Number of components of the braid closure."""
     perm = braid.permutation()

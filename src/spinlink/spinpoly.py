@@ -2,8 +2,24 @@
 
 A braid word is evaluated by assigning the braiding on S (x) S to every
 crossing and closing up with the explicit cups and caps; the closure
-reduces to a weighted diagonal sum, applied column by column so the full
-product matrix is never materialized.  Three normalizations are exposed:
+reduces to a weighted diagonal sum over the start columns of S^(x)m, each
+propagated through the word as a sparse vector so the full product matrix
+is never materialized.
+
+The braid operator commutes with U_q(so_{2n+1}), so its trace on a weight
+space W_mu depends only on the Weyl orbit of mu: weight multiplicities are
+W-invariant (Jantzen, Lectures on Quantum Groups, ch. 5), and W(B_n) acts
+by signed permutations.  The closure weight of a column is a signed power
+of q, linear in the column's total weight, with a sign that does not
+depend on the column.  Hence
+
+  Tr_q = sum over columns of dominant weight mu of
+         diag(column) * sum_{nu in W mu} closure(nu),
+
+and only the dominant-weight columns are propagated (40 of 512 for three
+strands at n = 3).  The last crossing of a word is not applied in full: only
+the diagonal entry of its image is read off.  Three normalizations are
+exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
             an m-strand identity braid gives the m-th power of the signed
@@ -21,6 +37,8 @@ q -> q^{-1}.
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -121,52 +139,101 @@ def _mu_monomials(n: int) -> dict[int, LaurentPoly]:
     return out
 
 
-def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
-    """Tr_q of the braid operator, column by column with closure weights."""
-    m = braid.strands
+@lru_cache(maxsize=16)
+def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
+    """The start columns of S^(x)m whose total weight mu is dominant
+    (mu_1 >= ... >= mu_n >= 0), each mapped to sum_{nu in W mu} closure(nu).
+    Weights are kept doubled (2 wt(x_B)_j = -1 if j in B else +1)."""
     mu = _mu_monomials(n)
-    if braid.letters:
-        pos_cols, pos_den = _crossing_data(n, +1)
-        neg_cols, neg_den = _crossing_data(n, -1)
-    else:
-        pos_cols = neg_cols = {}
-        pos_den = neg_den = LaurentPoly.one()
+    closure: dict[tuple[int, ...], LaurentPoly] = {}  # depends only on the weight
+    dominant: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for column in itertools.product(range(1 << n), repeat=m):
+        wt = tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
+        if wt not in closure:
+            closure[wt] = math.prod((mu[B] for B in column), start=LaurentPoly.one())
+        if wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:])):
+            dominant[column] = wt
+    orbit_sum = {}
+    for wt in set(dominant.values()):
+        orbit = {
+            tuple(s * x for s, x in zip(signs, perm))
+            for perm in itertools.permutations(wt)
+            for signs in itertools.product((1, -1), repeat=n)
+        }
+        orbit_sum[wt] = sum((closure[nu] for nu in orbit), LaurentPoly.zero())
+    return {column: orbit_sum[wt] for column, wt in dominant.items()}
+
+
+@lru_cache(maxsize=8)
+def _crossing_rows(n: int, sign: int) -> dict:
+    """The rows of _crossing_data(n, sign): (c, d) -> [((a, b), LaurentPoly)]."""
+    rows: dict = {}
+    for ab, img in _crossing_data(n, sign)[0].items():
+        for cd, val in img.items():
+            rows.setdefault(cd, []).append((ab, val))
+    return rows
+
+
+def _apply(cols: dict, vec: dict[tuple, LaurentPoly], i: int) -> dict[tuple, LaurentPoly]:
+    """One crossing on strands i, i+1 applied to a sparse vector of columns."""
+    new: dict[tuple, LaurentPoly] = {}
+    for key, coeff in vec.items():
+        img = cols.get((key[i - 1], key[i]))
+        if not img:
+            continue
+        for (c, d), val in img.items():
+            nk = key[: i - 1] + (c, d) + key[i + 1 :]
+            s = new.get(nk)
+            prod = coeff * val
+            s = prod if s is None else s + prod
+            if s:
+                new[nk] = s
+            else:
+                del new[nk]
+    return new
+
+
+def _closing_entry(rows: dict, vec: dict[tuple, LaurentPoly], i: int, column: tuple) -> LaurentPoly:
+    """The entry at `column` of _apply(cols, vec, i), read off the rows
+    without building the rest of the vector: the last crossing of a word
+    only feeds the diagonal."""
+    head, tail = column[: i - 1], column[i + 1 :]
+    total = LaurentPoly.zero()
+    for (a, b), val in rows.get(column[i - 1 : i + 1], ()):
+        coeff = vec.get(head + (a, b) + tail)
+        if coeff is not None:
+            total = total + coeff * val
+    return total
+
+
+def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
+    """Tr_q of the braid operator: the diagonal entry of every dominant-weight
+    start column, weighted with its orbit closure sum."""
+    m = braid.strands
+    weights = _orbit_closure(n, m)
     den = LaurentPoly.one()
-    for _, sign in braid.letters:
-        den = den * (pos_den if sign > 0 else neg_den)
+    if braid.letters:  # the crossing data is only built when a word needs it
+        cols, dens, rows = {}, {}, {}
+        for s in (1, -1):
+            cols[s], dens[s] = _crossing_data(n, s)
+            rows[s] = _crossing_rows(n, s)
+        den = math.prod((dens[sign] for _, sign in braid.letters), start=den)
 
     # operator product in word order: the rightmost letter acts first
     todo = list(reversed(braid.letters))
     total = LaurentPoly.zero()
-    dim = 1 << n
-    for column in _tuples(dim, m):
-        vec: dict[tuple, LaurentPoly] = {column: LaurentPoly.one()}
-        for i, sign in todo:
-            cols = pos_cols if sign > 0 else neg_cols
-            new: dict[tuple, LaurentPoly] = {}
-            for key, coeff in vec.items():
-                img = cols.get((key[i - 1], key[i]))
-                if not img:
-                    continue
-                for (c, d), val in img.items():
-                    nk = key[: i - 1] + (c, d) + key[i + 1 :]
-                    s = new.get(nk)
-                    prod = coeff * val
-                    s = prod if s is None else s + prod
-                    if s:
-                        new[nk] = s
-                    else:
-                        del new[nk]
-            vec = new
-            if not vec:
-                break
-        diag = vec.get(column)
-        if diag is None:
+    for column in _tuples(1 << n, m):
+        w = weights.get(column)
+        if w is None:
             continue
-        w = LaurentPoly.one()
-        for B in column:
-            w = w * mu[B]
-        total = total + diag * w
+        vec: dict[tuple, LaurentPoly] = {column: LaurentPoly.one()}
+        for i, sign in todo[:-1]:
+            vec = _apply(cols[sign], vec, i)
+        if todo:
+            i, sign = todo[-1]
+            total = total + _closing_entry(rows[sign], vec, i, column) * w
+        else:
+            total = total + w
     return GradedScalar(0, RatFunc(total, den))
 
 
@@ -216,12 +283,8 @@ def _power(x: GradedScalar, k: int) -> GradedScalar:
 
 
 def _tuples(dim: int, m: int):
-    if m == 0:
-        yield ()
-        return
-    for head in range(dim):
-        for tail in _tuples(dim, m - 1):
-            yield (head,) + tail
+    """Every start column of S^(x)m, in lexicographic order."""
+    return itertools.product(range(dim), repeat=m)
 
 
 def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
@@ -229,61 +292,41 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     generators, up to the given length, sharing work along the prefix tree.
 
     Words are enumerated by prepending letters, so each tree edge costs a
-    single sparse application per starting column instead of re-evaluating
-    whole words from scratch.
+    single sparse application per dominant start column instead of
+    re-evaluating whole words from scratch; an edge into a word of the
+    maximal length only reads off the diagonal entry.
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
-    mu = _mu_monomials(n)
-    pos_cols, pos_den = _crossing_data(n, +1)
-    neg_cols, neg_den = _crossing_data(n, -1)
-    dim = 1 << n
+    weights = _orbit_closure(n, m)
+    cols, dens, rows = {}, {}, {}
+    for s in (1, -1):
+        cols[s], dens[s] = _crossing_data(n, s)
+        rows[s] = _crossing_rows(n, s)
 
     totals: dict[tuple, LaurentPoly] = {}
-    dens: dict[tuple, LaurentPoly] = {}
-
-    def apply(cols, vec, i):
-        new: dict[tuple, LaurentPoly] = {}
-        for key, coeff in vec.items():
-            img = cols.get((key[i - 1], key[i]))
-            if not img:
-                continue
-            for (c, d), val in img.items():
-                nk = key[: i - 1] + (c, d) + key[i + 1 :]
-                s = new.get(nk)
-                prod = coeff * val
-                s = prod if s is None else s + prod
-                if s:
-                    new[nk] = s
-                else:
-                    del new[nk]
-        return new
-
-    for column in _tuples(dim, m):
-        w = LaurentPoly.one()
-        for B in column:
-            w = w * mu[B]
+    for column in _tuples(1 << n, m):
+        w = weights.get(column)
+        if w is None:
+            continue
         stack = [((), {column: LaurentPoly.one()})]
         while stack:
             word, vec = stack.pop()
-            diag = vec.get(column)
-            if diag is not None:
-                acc = totals.get(word)
-                contrib = diag * w
-                totals[word] = contrib if acc is None else acc + contrib
-            elif word not in totals:
-                totals.setdefault(word, LaurentPoly.zero())
-            if len(word) < max_len:
-                for i, sign in gens:
-                    child = ((i, sign),) + word
-                    stack.append((child, apply(pos_cols if sign > 0 else neg_cols, vec, i)))
+            totals[word] = totals.get(word, LaurentPoly.zero()) + vec.get(column, LaurentPoly.zero()) * w
+            if len(word) == max_len:
+                continue
+            for i, sign in gens:
+                child = ((i, sign),) + word
+                if len(child) < max_len:
+                    stack.append((child, _apply(cols[sign], vec, i)))
+                else:
+                    diag = _closing_entry(rows[sign], vec, i, column)
+                    totals[child] = totals.get(child, LaurentPoly.zero()) + diag * w
 
-    out: dict[tuple, GradedScalar] = {}
-    for word, total in totals.items():
-        den = LaurentPoly.one()
-        for _, sign in word:
-            den = den * (pos_den if sign > 0 else neg_den)
-        out[word] = GradedScalar(0, RatFunc(total, den))
-    return out
+    one = LaurentPoly.one()
+    return {
+        word: GradedScalar(0, RatFunc(total, math.prod((dens[sign] for _, sign in word), start=one)))
+        for word, total in totals.items()
+    }
 
 
 def markov_suite(braid: BraidWord, n: int) -> list[dict]:

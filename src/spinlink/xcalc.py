@@ -294,7 +294,7 @@ def braid_i_coeff(n: int, i: int) -> RatFunc:
 
 
 def rank_of(op: LinOp, exact: bool = False) -> int:
-    """Rank over Q(q): by default via agreement of three random rational
+    """Rank over Q(q): by default the largest rank among three random rational
     specializations; exact=True runs fraction-free elimination instead."""
     cols = sorted(op.cols)
     rows = sorted({j for col in op.cols.values() for j in col})
@@ -305,10 +305,8 @@ def rank_of(op: LinOp, exact: bool = False) -> int:
     import random
 
     rng = random.Random(20240917)
-    ranks = set()
-    tries = 0
-    while len(ranks) < 3 and tries < 24:
-        tries += 1
+    ranks: list[int] = []
+    for _ in range(24):
         v = Fraction(rng.randint(2, 40), rng.randint(1, 7))
         try:
             mat = [[Fraction(0)] * len(cols) for _ in rows]
@@ -317,13 +315,13 @@ def rank_of(op: LinOp, exact: bool = False) -> int:
                     mat[ridx[r]][ci] = val.subs_v(v)
         except ZeroDivisionError:
             continue
-        ranks.add(_rank_fraction(mat))
-    if len(ranks) != 3 or len(set(ranks)) != 1:
-        # cross-agreement: all sampled specializations must agree
-        vals = ranks
-        if len(set(vals)) != 1:
-            raise ArithmeticError(f"specialized ranks disagree: {vals}")
-    return ranks.pop()
+        ranks.append(_rank_fraction(mat))
+        if len(ranks) == 3:
+            break
+    if not ranks:
+        raise ArithmeticError("every sampled specialization hits a pole")
+    # a specialization at a zero of a minor can only lower the rank
+    return max(ranks)
 
 
 def _rank_fraction(mat: list[list[Fraction]]) -> int:
@@ -449,16 +447,6 @@ def rotate(op: LinOp) -> LinOp:
     idS = LinOp.identity(S_SIG, n)
     idSS = LinOp.identity(("S", "S"), n)
     return (cap_n(n).tensor(idSS)) @ (idS.tensor(op).tensor(idS)) @ (idSS.tensor(cup_n(n)))
-
-
-def _word_to_op(word, tables, m_pos: dict[str, int], m: int) -> ScaledOp:
-    acc = None
-    for sym, p in word:
-        op = tables[m_pos[sym]][p]
-        acc = op if acc is None else acc @ op
-    if acc is None:
-        raise ValueError("empty word")
-    return acc
 
 
 def relation_suite(n: int, probe: bool = False) -> list[dict]:

@@ -104,3 +104,32 @@ class TestDump:
     def test_unknown_operator(self, capsys):
         code, _, err = run(capsys, "dump", "bogus", "--n", "1")
         assert code == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("dump", "h", "--n", "0"),
+            ("poly", "sln", "--N", "-1", "--colors", "1,1", "--braid", "s1"),
+            ("verify", "xcalc", "--n", "0"),
+            ("poly", "spin", "--n", "0", "--braid", "s1"),
+            ("poly", "spin", "--n", "two", "--braid", "s1"),
+        ),
+    )
+    def test_rank_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be an integer >= 1" in err and "Traceback" not in err
+
+    def test_negative_x_index(self, capsys):
+        code, out, err = run(capsys, "dump", "x-1", "--n", "1")
+        assert code == 2
+        assert out == "" and "unknown operator 'x-1'" in err
+
+    def test_x_index_above_rank_is_zero(self, capsys):
+        code, out, _ = run(capsys, "dump", "x9", "--n", "1")
+        assert code == 0
+        assert json.loads(out) == []

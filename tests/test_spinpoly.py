@@ -1,5 +1,6 @@
 """Tests for braid parsing, spin polynomial evaluation, and Markov moves."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,10 @@ from spinlink.rep import circle_value
 from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
+    _apply,
+    _crossing_data,
+    _mu_monomials,
+    _raw_trace,
     eval_spin,
     markov_suite,
     parse_braid,
@@ -105,9 +110,65 @@ class TestEvaluation:
         assert eval_spin(b, 1, normalization="unframed") == spin1_from_jones(b)
 
     def test_sweep_matches_direct(self):
-        sw = sweep_raw_traces(2, 1, 3)
-        for word, val in sw.items():
-            assert val == eval_spin(BraidWord(2, word), 1)
+        for m, n, max_len in ((2, 1, 3), (3, 2, 4)):
+            sw = sweep_raw_traces(m, n, max_len)
+            assert len(sw) == sum((2 * (m - 1)) ** k for k in range(max_len + 1))
+            for word, val in sw.items():
+                assert val == eval_spin(BraidWord(m, word), n)
+
+
+def _random_word(rng, m, max_len):
+    return BraidWord(m, tuple((rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(rng.randint(1, max_len))))
+
+
+def _all_column_diagonals(braid, n):
+    """The diagonal entry of the denominator-cleared braid operator on every
+    start column of S^(x)m: the oracle the dominant-column trace is checked on."""
+    pos_cols, _ = _crossing_data(n, +1)
+    neg_cols, _ = _crossing_data(n, -1)
+    diags = {}
+    for column in itertools.product(range(1 << n), repeat=braid.strands):
+        vec = {column: LaurentPoly.one()}
+        for i, sign in reversed(braid.letters):
+            vec = _apply(pos_cols if sign > 0 else neg_cols, vec, i)
+        diags[column] = vec.get(column, LaurentPoly.zero())
+    return diags
+
+
+def _doubled_weight(column, n):
+    return tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
+
+
+class TestWeylOrbitReduction:
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_weight_space_traces_are_weyl_invariant(self, n):
+        rng = random.Random(2407 + n)
+        for _ in range(2):
+            traces = {}
+            for column, diag in _all_column_diagonals(_random_word(rng, 3, 5), n).items():
+                wt = _doubled_weight(column, n)
+                traces[wt] = traces.get(wt, LaurentPoly.zero()) + diag
+            for wt, tr in traces.items():
+                for perm in itertools.permutations(wt):
+                    for signs in itertools.product((1, -1), repeat=n):
+                        assert traces[tuple(s * x for s, x in zip(signs, perm))] == tr
+
+    @pytest.mark.parametrize("n, m", ((1, 3), (2, 3), (3, 3), (2, 4)))
+    def test_raw_trace_equals_all_column_sum(self, n, m):
+        rng = random.Random(31 * n + m)
+        mu = _mu_monomials(n)
+        pos_den, neg_den = _crossing_data(n, +1)[1], _crossing_data(n, -1)[1]
+        for _ in range(3):
+            braid = _random_word(rng, m, 5)
+            total = LaurentPoly.zero()
+            for column, diag in _all_column_diagonals(braid, n).items():
+                for B in column:
+                    diag = diag * mu[B]
+                total = total + diag
+            den = LaurentPoly.one()
+            for _, sign in braid.letters:
+                den = den * (pos_den if sign > 0 else neg_den)
+            assert _raw_trace(braid, n) == GradedScalar(0, RatFunc(total, den))
 
 
 class TestStabilization:

@@ -210,3 +210,26 @@ class TestRanks:
                 want = comb(2 * n + 1, i)
                 assert rank_of(spec.projectors[i], exact=True) == want
                 assert rank_of(spec.projectors[i], exact=False) == want
+
+    def test_specialization_at_a_zero_does_not_lower_the_rank(self):
+        from fractions import Fraction
+
+        from spinlink.xcalc import rank_of
+
+        # the first value rank_of samples, from its fixed seed
+        rng = random.Random(20240917)
+        v0 = Fraction(rng.randint(2, 40), rng.randint(1, 7))
+        op = LinOp(1, ("S",), ("S",))
+        op.set_entry((0,), (0,), LaurentPoly.const(1))
+        op.set_entry((1,), (1,), LaurentPoly({1: v0.denominator, 0: -v0.numerator}))
+        assert op.cols[(1,)][(1,)].subs_v(v0) == 0
+        assert rank_of(op) == 2 == rank_of(op, exact=True)
+
+    def test_agreeing_specializations_stop_after_three(self, monkeypatch):
+        from spinlink import xcalc
+
+        calls = []
+        rank_fraction = xcalc._rank_fraction
+        monkeypatch.setattr(xcalc, "_rank_fraction", lambda mat: calls.append(1) or rank_fraction(mat))
+        assert xcalc.rank_of(LinOp.identity(("S",), 2)) == 4
+        assert len(calls) == 3
