@@ -194,7 +194,7 @@ def _dump_operator(name: str, n: int):
 # -- main -------------------------------------------------------------------------
 
 
-def _rank(text: str) -> int:
+def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -212,8 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     polysub = poly.add_subparsers(dest="flavor", required=True)
 
     spin = polysub.add_parser("spin", help="spin-colored type B polynomial")
-    spin.add_argument("--n", type=_rank, required=True, help="rank of so(2n+1)")
-    spin.add_argument("--strands", type=int, default=None)
+    spin.add_argument("--n", type=_positive, required=True, help="rank of so(2n+1)")
+    spin.add_argument("--strands", type=_positive, default=None)
     spin.add_argument("--braid", type=str, default="")
     spin.add_argument("--normalize", choices=("raw", "unframed", "intro"), default="raw")
     spin.add_argument("--mirror", action="store_true")
@@ -221,22 +221,22 @@ def main(argv: list[str] | None = None) -> int:
     spin.add_argument("--format", choices=("text", "json"), default="text")
 
     sln = polysub.add_parser("sln", help="colored sl_N polynomial")
-    sln.add_argument("--N", type=_rank, required=True)
+    sln.add_argument("--N", type=_positive, required=True)
     sln.add_argument("--colors", type=str, required=True, help="comma-separated strand colors")
     sln.add_argument("--braid", type=str, default="")
-    sln.add_argument("--strands", type=int, default=None)
+    sln.add_argument("--strands", type=_positive, default=None)
     sln.add_argument("--format", choices=("text", "json"), default="text")
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
     verify.add_argument("--bound", type=int, default=10, help="parameter bound (qalg)")
-    verify.add_argument("--n", type=_rank, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
+    verify.add_argument("--n", type=_positive, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
     verify.add_argument("--exact-rank", action="store_true", help="use fraction-free elimination for ranks")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     dump = sub.add_parser("dump", help="dump an operator as canonical JSON rows")
     dump.add_argument("operator")
-    dump.add_argument("--n", type=_rank, required=True)
+    dump.add_argument("--n", type=_positive, required=True)
 
     args = parser.parse_args(argv)
 

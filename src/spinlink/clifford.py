@@ -20,7 +20,10 @@ defining relations and recorded next to the implementation:
 
 This gives a second, independent route to the quantum group action on S
 and to the distinguished endomorphism C of S (x) S, which must agree with
-the trivalent-composite intertwiner from rep.H.
+the trivalent-composite intertwiner from rep.H.  C is the closed form that
+production uses as H (xcalc.build_X): it takes milliseconds where the
+trivalent composite takes seconds, so rep.H is kept only as the oracle
+(acceptance criterion 2, `verify clifford`, `dump h`).
 """
 
 from __future__ import annotations

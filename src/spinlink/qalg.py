@@ -24,6 +24,9 @@ Coeff = Union[int, Fraction]
 
 
 def _norm_coeff(c: Coeff) -> Coeff:
+    # exact type first: isinstance(c, Fraction) goes through the numbers ABCs
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
@@ -116,7 +119,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not LaurentPoly and isinstance(other, (int, Fraction)):
             return self.scale(other)
         a, b = self.c, other.c
         if not a or not b:
@@ -237,9 +240,12 @@ def _content_and_primitive(p: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
     val = p.v_valuation()
     den_lcm = 1
     for c in p.c.values():
-        if isinstance(c, Fraction):
+        if type(c) is not int and isinstance(c, Fraction):
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = {e - val: int(c * den_lcm) if isinstance(c, Fraction) else c * den_lcm for e, c in p.c.items()}
+    ints = {
+        e - val: int(c * den_lcm) if type(c) is not int and isinstance(c, Fraction) else c * den_lcm
+        for e, c in p.c.items()
+    }
     g = 0
     for c in ints.values():
         g = math.gcd(g, abs(c))
@@ -430,12 +436,13 @@ class RatFunc:
         return self + (-other)
 
     def __mul__(self, other) -> "RatFunc":
-        if isinstance(other, (int, Fraction)):
-            r = RatFunc.__new__(RatFunc)
-            r.num, r.den = self.num.scale(other), self.den
-            return r if other else RatFunc.zero()
-        if isinstance(other, LaurentPoly):
-            other = RatFunc.from_poly(other)
+        if type(other) is not RatFunc:
+            if isinstance(other, (int, Fraction)):
+                r = RatFunc.__new__(RatFunc)
+                r.num, r.den = self.num.scale(other), self.den
+                return r if other else RatFunc.zero()
+            if isinstance(other, LaurentPoly):
+                other = RatFunc.from_poly(other)
         if self.num.is_zero() or other.num.is_zero():
             return RatFunc.zero()
         if self.den.is_one() and other.den.is_one():

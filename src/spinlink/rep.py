@@ -89,6 +89,11 @@ def coroot_pairing(i: int, wt: tuple[Fraction, ...], n: int) -> Fraction:
 
 
 _R_ONE = RatFunc.one()
+_ZERO_POLY = LaurentPoly.zero()
+
+
+def _den_order(den: LaurentPoly) -> tuple:
+    return tuple(sorted(den.c.items()))
 
 
 class LinOp:
@@ -171,19 +176,36 @@ class LinOp:
     # -- composition -------------------------------------------------------
 
     def apply_column(self, col: dict[Key, RatFunc]) -> dict[Key, RatFunc]:
-        out: dict[Key, RatFunc] = {}
+        """self applied to one column.
+
+        Each output entry is summed per denominator: numerators over a
+        common denominator add as Laurent polynomials, with no gcd, and the
+        per-denominator sums are added in a fixed order of denominators.
+        So the cost does not depend on the order of the entries."""
+        sums: dict[Key, list] = {}
         for j, c in col.items():
             target = self.cols.get(j)
             if not target:
                 continue
             for i, a in target.items():
-                s = out.get(i)
-                prod = a * c
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(i, None)
+                num = a.num * c.num
+                acc = sums.get(i)
+                if acc is None:
+                    acc = sums[i] = [_ZERO_POLY, {}]
+                if a.den.is_one() and c.den.is_one():
+                    acc[0] = acc[0] + num
                 else:
-                    out[i] = s
+                    den = a.den * c.den
+                    by_den = acc[1]
+                    s = by_den.get(den)
+                    by_den[den] = num if s is None else s + num
+        out: dict[Key, RatFunc] = {}
+        for i, (poly, by_den) in sums.items():
+            s = RatFunc.from_poly(poly)
+            for den in sorted(by_den, key=_den_order):
+                s = s + RatFunc(by_den[den], den)
+            if s:
+                out[i] = s
         return out
 
     def __matmul__(self, other: "LinOp") -> "LinOp":

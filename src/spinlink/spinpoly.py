@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2
-from .xcalc import ScaledOp, braiding, build_X, inverse_braiding
+from .xcalc import ScaledOp, XFamily, braiding, build_X, inverse_braiding
 from .rep import complement, qJ, subset_iter
 
 
@@ -116,11 +116,17 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
     return BraidWord(max(m_count, 1), tuple(letters))
 
 
+@lru_cache(maxsize=4)
+def _x_family(n: int) -> XFamily:
+    """The X family of rank n, shared by both crossing signs."""
+    return build_X(n, check_product_route=False)
+
+
 @lru_cache(maxsize=8)
 def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
     """The braiding (or inverse) on S (x) S as a denominator-cleared column
     map: (a, b) -> {(c, d) -> LaurentPoly}, plus the global denominator."""
-    fam = build_X(n, check_product_route=False)
+    fam = _x_family(n)
     op = braiding(n, fam) if sign > 0 else inverse_braiding(n, fam)
     scaled = ScaledOp.lift(op)
     cols = {k: {j: v.num for j, v in col.items()} for k, col in scaled.num.cols.items()}

@@ -6,20 +6,23 @@ X^(0), ..., X^(n) obtained from the quadratic recursion
     X^(i) X = (-1)^i "[i+1]^2" X^(i+1) + (-1)^i "[i][i+1]" X^(i)
 
 is a basis in which the braiding takes the form q^{n/2} sum q^{-k} X^(k).
-This module builds the family by two independent routes (iterated
-recursion, and evaluation of the closed product formula for X^(k) as a
-polynomial in X), provides the braiding and its strand embeddings, the
-quantum (partial) trace, the spectral idempotents of H, and a battery of
-exact matrix identities including the three-strand relation tables and
-the trace/rotation rules.
+H is taken in the Clifford closed form C = clifford.wenzl_C(n); the
+trivalent composite rep.H is the independent route that C is checked
+against, and is not called here.  This module builds the family by two
+independent routes (iterated recursion, and evaluation of the closed
+product formula for X^(k) as a polynomial in X), provides the braiding
+and its strand embeddings, the quantum (partial) trace, the spectral
+idempotents of H, and a battery of exact matrix identities including the
+three-strand relation tables and the trace/rotation rules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from . import clifford
 from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, poly_divexact, poly_gcd, qint
-from .rep import H, LinOp, S_SIG, cap_n, complement, cup_n, qJ, subset_iter
+from .rep import LinOp, S_SIG, cap_n, complement, cup_n, qJ, subset_iter
 from .iqsym import relation_table, trace_rule_coeff
 
 _ONE = LaurentPoly.one()
@@ -139,7 +142,7 @@ def build_X(n: int, check_product_route: bool = True) -> XFamily:
     """Construct X^(0..n); the recursion route and the closed product
     formula are compared entry-for-entry, and one extra recursion step must
     give the zero operator."""
-    h = H(n)
+    h = clifford.wenzl_C(n)
     idSS = LinOp.identity(("S", "S"), n)
     x = h - idSS.scale(RatFunc(_ONE, qint(2)))
     ops = _x_by_recursion(n, x)

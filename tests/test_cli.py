@@ -124,6 +124,21 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "must be an integer >= 1" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("poly", "spin", "--n", "1", "--strands", "-2", "--braid", ""),
+            ("poly", "spin", "--n", "1", "--strands", "0", "--braid", ""),
+            ("poly", "sln", "--N", "2", "--colors", "1", "--strands", "0", "--braid", ""),
+        ),
+    )
+    def test_strands_below_one_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --strands: must be an integer >= 1" in err and "Traceback" not in err
+
     def test_negative_x_index(self, capsys):
         code, out, err = run(capsys, "dump", "x-1", "--n", "1")
         assert code == 2

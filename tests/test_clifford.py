@@ -4,7 +4,7 @@ import pytest
 
 from spinlink.clifford import omega, psi, psi_star, qgrp_via_clifford, volume_f, wenzl_C
 from spinlink.qalg import LaurentPoly, RatFunc, qint
-from spinlink.rep import H, LinOp, coproduct_action, spin_action
+from spinlink.rep import H, LinOp, coproduct_action, is_intertwiner, spin_action
 
 RANKS = (1, 2, 3)
 
@@ -88,3 +88,7 @@ class TestWenzlC:
             for kind in ("e", "f", "k"):
                 act = coproduct_action(kind, i, ("S", "S"), n)
                 assert act @ c == c @ act
+
+    def test_intertwiner_rank_four(self):
+        # the exact comparison with H(4) is left to `verify clifford --n 4`
+        assert is_intertwiner(wenzl_C(4), 4)

@@ -191,3 +191,26 @@ class TestMarkovSuite:
             word = tuple((rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(rng.randint(1, 5)))
             report = markov_suite(BraidWord(m, word), n)
             assert all(e["status"] == "pass" for e in report), report
+
+    def test_trefoil_rank_four(self):
+        report = markov_suite(BraidWord(2, ((1, 1),) * 3), 4)
+        assert report and all(e["status"] == "pass" for e in report), report
+
+
+class TestProductionRoute:
+    def test_crossing_data_does_not_call_the_trivalent_route(self, monkeypatch):
+        from spinlink import rep, spinpoly, xcalc
+
+        def oracle_only(n):
+            raise AssertionError("production called the trivalent route rep.H")
+
+        h = rep.H
+        for mod in (rep, xcalc, spinpoly):
+            if getattr(mod, "H", None) is h:
+                monkeypatch.setattr(mod, "H", oracle_only)
+        xcalc.build_X(3)
+        _crossing_data.cache_clear()
+        spinpoly._x_family.cache_clear()
+        for sign in (1, -1):
+            cols, den = _crossing_data(3, sign)
+            assert cols and not den.is_zero()

@@ -6,9 +6,11 @@ import pytest
 
 from spinlink.iqsym import trace_rule_coeff
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, qint
-from spinlink.rep import LinOp, circle_value, coproduct_action, cup_n
+from spinlink.clifford import wenzl_C
+from spinlink.rep import H, LinOp, circle_value, coproduct_action, cup_n
 from spinlink.xcalc import (
     ScaledOp,
+    XFamily,
     braiding,
     build_X,
     change_of_basis_check,
@@ -66,6 +68,54 @@ class TestFamily:
                 for kind in ("e", "f", "k"):
                     act = coproduct_action(kind, i, ("S", "S"), n)
                     assert act @ op == op @ act
+
+
+class TestProductionRoute:
+    def test_h_is_the_clifford_closed_form(self, families):
+        for n in RANKS:
+            assert families[n].h == wenzl_C(n)
+
+    def test_rank_four_product_route(self):
+        fam = build_X(4, check_product_route=True)
+        assert fam[4] != fam[3] and fam[5].is_zero()
+
+
+class TestOrderIndependence:
+    def test_product_cost_does_not_depend_on_entry_order(self, monkeypatch):
+        from spinlink import qalg, xcalc
+
+        n = 2
+        h, c = H(n), wenzl_C(n)
+        # equal entry for entry, listed in different orders
+        assert h == c and [list(col) for col in h.cols.values()] != [list(c.cols[k]) for k in h.cols]
+
+        counts = {"gcd": 0, "divexact": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        gcd, divexact = counted("gcd", qalg.poly_gcd), counted("divexact", qalg.poly_divexact)
+        for mod in (qalg, xcalc):
+            monkeypatch.setattr(mod, "poly_gcd", gcd)
+            monkeypatch.setattr(mod, "poly_divexact", divexact)
+
+        def check_with(h_op):
+            idSS = LinOp.identity(("S", "S"), n)
+            x = h_op - idSS.scale(RatFunc(LaurentPoly.one(), qint(2)))
+            fam = XFamily(n, xcalc._x_by_recursion(n, x), h_op)
+            monkeypatch.setattr(xcalc, "build_X", lambda n, check_product_route=True: fam)
+            counts.update(gcd=0, divexact=0)
+            report = change_of_basis_check(n)
+            return dict(counts), report
+
+        h_counts, h_report = check_with(h)
+        c_counts, c_report = check_with(c)
+        assert h_counts == c_counts
+        assert h_report == c_report and all(e["status"] == "pass" for e in h_report)
 
 
 class TestBraiding:
