@@ -1,9 +1,10 @@
 """Command-line interface: polynomial evaluation, verification suites, dumps.
 
 Exit codes: 0 when everything passes, 1 when a gating verification fails,
-2 on usage errors.  The conjecture probes never gate.  Output ordering is
-deterministic (exponent-sorted terms, no timestamps) so reports can be
-used as golden files.
+2 on usage errors and on inputs too deep to evaluate (an error line on
+stderr, never a traceback).  The conjecture probes never gate.  Output
+ordering is deterministic (exponent-sorted terms, no timestamps) so
+reports can be used as golden files.
 """
 
 from __future__ import annotations
@@ -252,11 +253,15 @@ def main(argv: list[str] | None = None) -> int:
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "poly" and args.flavor == "sln":
-            from .schur import eval_slN
+            from .schur import AnnularDepthError, eval_slN
 
             braid = parse_braid(args.braid, args.strands)
             colors = tuple(int(c) for c in args.colors.split(",") if c.strip() != "")
-            value = eval_slN(braid, colors, args.N)
+            try:
+                value = eval_slN(braid, colors, args.N)
+            except AnnularDepthError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "verify":
@@ -274,6 +279,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: the input is too deep to evaluate (Python recursion limit reached)", file=sys.stderr)
         return 2
     return 2
 

@@ -83,7 +83,8 @@ class LaurentPoly:
         return not self.c
 
     def is_one(self) -> bool:
-        return self.c == {0: 1}
+        c = self.c  # no dict literal: this runs once per entry in operator products
+        return len(c) == 1 and c.get(0) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

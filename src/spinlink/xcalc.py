@@ -46,11 +46,19 @@ def clear_denominators(op: LinOp) -> tuple[LinOp, LaurentPoly]:
     return num, den
 
 
+def _times(op: LinOp, c: LaurentPoly) -> LinOp:
+    return op if c.is_one() else op.scale(c)
+
+
 class ScaledOp:
     """A LinOp with Laurent entries divided by one global Laurent scalar.
 
-    Keeps products of operators denominator-free entrywise, which is much
-    faster than reducing rational functions at every entry.
+    Every entry of num has denominator 1, so products, sums and comparisons
+    never reduce a rational function: `@` multiplies and adds the Laurent
+    numerators directly, and `+`/`==` bring both sides over a common
+    denominator, scaling only a side whose gcd quotient is not 1 (nothing
+    at all when the denominators are equal, the common case).  Values are
+    never mutated in place, so `scale(1)` returns the operator itself.
     """
 
     __slots__ = ("num", "den")
@@ -65,18 +73,46 @@ class ScaledOp:
         return ScaledOp(num, den)
 
     def __matmul__(self, other: "ScaledOp") -> "ScaledOp":
-        return ScaledOp(self.num @ other.num, self.den * other.den)
+        """self after other, column by column over Laurent numerators."""
+        a, b = self.num, other.num
+        if b.cod != a.dom:
+            raise ValueError(f"signature mismatch: {b.cod} -> {a.dom}")
+        rows = a.cols
+        cols = {}
+        for k, col in b.cols.items():
+            sums: dict = {}
+            for j, c in col.items():
+                target = rows.get(j)
+                if not target:
+                    continue
+                cn = c.num
+                for i, e in target.items():
+                    p = e.num * cn
+                    s = sums.get(i)
+                    sums[i] = p if s is None else s + p
+            new = {i: RatFunc.from_poly(s) for i, s in sums.items() if s}
+            if new:
+                cols[k] = new
+        return ScaledOp(LinOp(a.n, b.dom, a.cod, cols), self.den * other.den)
 
     def scale(self, c: RatFunc | LaurentPoly) -> "ScaledOp":
-        if isinstance(c, LaurentPoly):
-            return ScaledOp(self.num.scale(c), self.den)
-        return ScaledOp(self.num.scale(c.num), self.den * c.den)
+        if isinstance(c, RatFunc):
+            if c.den.is_one():
+                return self.scale(c.num)
+            return ScaledOp(_times(self.num, c.num), self.den * c.den)
+        return self if c.is_one() else ScaledOp(self.num.scale(c), self.den)
 
-    def __add__(self, other: "ScaledOp") -> "ScaledOp":
+    def _over_common_den(self, other: "ScaledOp") -> tuple[LinOp, LinOp, LaurentPoly]:
+        """Numerators of self and other over one common denominator."""
+        if self.den == other.den:
+            return self.num, other.num, self.den
         g = poly_gcd(self.den, other.den)
         da, db = poly_divexact(self.den, g), poly_divexact(other.den, g)
-        num = self.num.scale(db) + other.num.scale(da)
-        return ScaledOp(num, self.den * db)
+        return _times(self.num, db), _times(other.num, da), self.den * db
+
+    def __add__(self, other: "ScaledOp") -> "ScaledOp":
+        a, b, den = self._over_common_den(other)
+        return ScaledOp(a + b, den)
 
     def __sub__(self, other: "ScaledOp") -> "ScaledOp":
         return self + other.scale(LaurentPoly.const(-1))
@@ -84,7 +120,8 @@ class ScaledOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScaledOp):
             return NotImplemented
-        return self.num.scale(other.den) == other.num.scale(self.den)
+        a, b, _ = self._over_common_den(other)
+        return a == b
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -386,23 +423,27 @@ def change_of_basis_check(n: int, exact_rank: bool = False) -> list[dict]:
     all_projs = spec.projectors + [spec.residual]
     total = LinOp.zero(("S", "S"), ("S", "S"), n)
     ok = True
-    for a, pa in enumerate(all_projs):
-        total = total + pa
-        for b, pb in enumerate(all_projs):
-            want = pa if a == b else LinOp.zero(("S", "S"), ("S", "S"), n)
+    # the products are taken in ScaledOp form: lifted once, no per-entry gcd
+    lifted = [ScaledOp.lift(p) for p in all_projs]
+    zero = ScaledOp(LinOp.zero(("S", "S"), ("S", "S"), n))
+    for a, pa in enumerate(lifted):
+        total = total + all_projs[a]
+        for b, pb in enumerate(lifted):
+            want = pa if a == b else zero
             if (pa @ pb) != want:
                 ok = False
     entry("projector-orthogonality", ok and total == idSS)
 
     ok = True
+    i_ops = [ScaledOp.lift(spec.i_op(i)) for i in range(n)]
     for i in range(n):
         for j in range(n):
-            prod = spec.i_op(i) @ spec.i_op(j)
+            prod = i_ops[i] @ i_ops[j]
             if i != j:
                 ok = ok and prod.is_zero()
             else:
                 c = d_value(n - i).scale((-1) ** binom2(n - i + 1))
-                ok = ok and prod == spec.i_op(i).scale(c)
+                ok = ok and prod == i_ops[i].scale(c)
     entry("bigon-composition", ok)
 
     witness = None
@@ -455,6 +496,14 @@ def rotate(op: LinOp) -> LinOp:
 def relation_suite(n: int, probe: bool = False) -> list[dict]:
     """Exact verification on S^(x)3 of the three-strand relation tables, the
     Serre-type relations, the trace rule, and the rotation rule.
+
+    The relation table is walked in sorted (a, b, c) order, so rows that
+    share the left-hand prefix X^(a) X^(b) follow each other and the prefix
+    product is computed once per (a, b); only the current prefix is kept.
+    No product is memoized across the suite: operators on S^(x)3 are large,
+    and keeping every word product (or even every two-letter one) raised
+    peak memory by a third or more, for little time saved over the shared
+    prefix.
 
     With probe=True (intended for n = 4) only the conjecture probes run:
     the trace rule for every k and the rotation rule, reported with
@@ -525,12 +574,15 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
     ok_all, witness = True, None
     for outer in (1, 2):
         op_of = emb(outer, 3 - outer)
-        for (a, b, c), rhs_terms in relation_table(n).items():
+        prefix_key, prefix = None, None
+        for (a, b, c), rhs_terms in sorted(relation_table(n).items()):
             lo, lm = op_of("O", a), op_of("M", b)
             lc = op_of("O", c)
             if lo is None or lm is None or lc is None:
                 continue
-            lhs = lo @ lm @ lc
+            if prefix_key != (a, b):
+                prefix_key, prefix = (a, b), lo @ lm
+            lhs = prefix @ lc
             rhs = zero3
             for coeff, word in rhs_terms:
                 ops = [op_of(sym, p) for sym, p in word]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from spinlink import schur
 from spinlink.cli import main
 from spinlink.qalg import GradedScalar
 from spinlink.spinpoly import eval_spin, parse_braid
@@ -70,6 +71,22 @@ class TestPolySln:
         terms = json.loads(out)["terms"]
         # exponents carry thirds from the q^{1/N} prefactor
         assert any(d % 3 == 0 and d > 1 for _, d, _, _ in terms)
+
+    @pytest.mark.parametrize(
+        "exc",
+        (
+            RecursionError("maximum recursion depth exceeded"),
+            schur.AnnularDepthError("annular evaluation exceeded its depth bound"),
+        ),
+    )
+    def test_too_deep_is_an_error_not_a_traceback(self, capsys, monkeypatch, exc):
+        def deep(*args):
+            raise exc
+
+        monkeypatch.setattr(schur, "eval_slN", deep)
+        code, out, err = run(capsys, "poly", "sln", "--N", "2", "--colors", "1,1", "--braid", "s1")
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 class TestVerify:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from spinlink.iqsym import trace_rule_coeff
+from spinlink.iqsym import relation_table, trace_rule_coeff
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, qint
 from spinlink.clifford import wenzl_C
 from spinlink.rep import H, LinOp, circle_value, coproduct_action, cup_n
@@ -245,6 +245,71 @@ class TestRelationSuite:
     def test_all_pass(self, n):
         report = relation_suite(n)
         assert all(e["status"] == "pass" for e in report), [e for e in report if e["status"] != "pass"]
+
+    def test_mutated_table_is_caught(self, monkeypatch):
+        from spinlink import xcalc
+
+        table = dict(relation_table(2))  # the table is cached: change a copy
+        (coeff, word), *rest = table[(1, 1, 1)]
+        table[(1, 1, 1)] = [(coeff + RatFunc.one(), word), *rest]
+        monkeypatch.setattr(xcalc, "relation_table", lambda n: table)
+        report = {e["identity_id"]: e for e in relation_suite(2)}
+        entry = report.pop("three-strand-relation-table")
+        assert entry["status"] == "fail" and entry["witness"] == "pattern (1, 1, 1) outer=2"
+        assert all(e["status"] == "pass" for e in report.values())
+
+    def test_shared_prefixes_bound_the_products(self, monkeypatch):
+        calls = []
+        matmul = ScaledOp.__matmul__
+        monkeypatch.setattr(ScaledOp, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        relation_suite(3)
+        assert 0 < len(calls) <= 182  # 218 with one left-hand product per table row
+
+
+def _laurent_op(seed: int) -> LinOp:
+    rng = random.Random(seed)
+    keys = [(a, b) for a in range(2) for b in range(2)]
+    op = LinOp(1, ("S", "S"), ("S", "S"))
+    for _ in range(6):
+        c = LaurentPoly.q_pow(rng.randint(-2, 2), rng.choice((-3, -1, 1, 2)))
+        op.set_entry(rng.choice(keys), rng.choice(keys), c)
+    return op
+
+
+class TestScaledOp:
+    """ScaledOp arithmetic against the same arithmetic on RatFunc-entry LinOps."""
+
+    DEN_PAIRS = {
+        "equal": (qint(2), qint(2)),
+        "coprime": (qint(2), qint(3)),
+        "dividing": (qint(2), qint(4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEN_PAIRS))
+    def test_agrees_with_linop(self, case):
+        da, db = self.DEN_PAIRS[case]
+        a, b = ScaledOp(_laurent_op(1), da), ScaledOp(_laurent_op(2), db)
+        la, lb = a.to_linop(), b.to_linop()
+        assert (a + b).to_linop() == la + lb
+        assert (a - b).to_linop() == la - lb
+        assert (a @ b).to_linop() == la @ lb
+        assert (a == b) == (la == lb) and a != b
+        assert (a - a).is_zero() and (b - b).is_zero()
+        for c in (qint(3), RatFunc.from_poly(qint(3)), RatFunc(LaurentPoly.q_pow(1), qint(5))):
+            assert a.scale(c).to_linop() == la.scale(c)
+
+    def test_same_value_over_a_multiple(self):
+        c = qint(3).scale(2)
+        a = ScaledOp(_laurent_op(1), qint(2))
+        b = ScaledOp(_laurent_op(1).scale(c), qint(2) * c)
+        assert a == b and b == a and a.to_linop() == b.to_linop()
+        assert (a + b).to_linop() == a.to_linop().scale(2)
+        assert a != ScaledOp(_laurent_op(2).scale(c), qint(2) * c)
+
+    def test_scaling_by_one(self):
+        a = ScaledOp(_laurent_op(1), qint(2))
+        for one in (LaurentPoly.one(), RatFunc.one()):
+            assert a.scale(one) == a and a.scale(one).to_linop() == a.to_linop()
 
 
 class TestRanks:
