@@ -244,9 +244,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "poly" and args.flavor == "spin":
             braid = parse_braid(args.braid, args.strands)
-            if args.engine == "symbolic" and args.n > 3:
-                print("the symbolic engine is restricted to n <= 3", file=sys.stderr)
-                return 2
             value = eval_spin(
                 braid, args.n, normalization=args.normalize, mirror=args.mirror, engine=args.engine
             )

@@ -8,10 +8,13 @@ commute, and the three-strand relation tables rewrite any pattern
 
     X_i^(a) X_j^(b) X_i^(c)      (|i - j| = 1)
 
-into terms in which the outer index occurs at most once.  Together with
-the trace rule (closing the last strand multiplies by an explicit
-devil-product coefficient) this evaluates any closed word, and hence any
-braid, without ever touching a matrix.
+into terms in which the outer index occurs at most once.  Rewriting uses
+them only with the outer index on top: a word on m strands is reduced
+until the top strand index m-1 occurs at most once (recursing into the
+segment between two top letters one index lower), which is the form the
+trace rule strips off (closing the last strand multiplies by an explicit
+devil-product coefficient).  Repeating this strand by strand evaluates
+any closed word, and hence any braid, without ever touching a matrix.
 
 The relation tables are stored as data.  The rank-3 table consists of the
 Serre-type base relation, the (a,1,c), (a,2,c), (a,3,c) power rows and
@@ -56,8 +59,8 @@ def trace_rule_coeff(n: int, k: int) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
-    """X^(k) as a polynomial in X (coefficients of 1, x, x^2, ...)."""
+def _factor_product(k: int) -> tuple[RatFunc, ...]:
+    """prod_{t=0}^{k-1} (X + (-1)^{t+1} "[t][t+1]") as coefficients of 1, X, X^2, ..."""
     coeffs = [_R_ONE]  # the constant 1
     for t in range(k - 1, -1, -1):
         shift = RatFunc.from_poly(devil(t, t + 1).scale((-1) ** (t + 1)))
@@ -66,25 +69,17 @@ def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
             nxt[d + 1] = nxt[d + 1] + c
             nxt[d] = nxt[d] + c * shift
         coeffs = nxt
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
+    """X^(k) as a polynomial in X (coefficients of 1, x, x^2, ...)."""
     den = _ONE
     for t in range(1, k + 1):
         den = den * devil(t, t)
     lead = RatFunc(LaurentPoly.const((-1) ** binom2(k)), den)
-    return tuple(c * lead for c in coeffs)
-
-
-@lru_cache(maxsize=None)
-def _minpoly(n: int) -> tuple[RatFunc, ...]:
-    """Monic minimal polynomial of X: roots 0 and (-1)^k "[k][k+1]", k=1..n."""
-    coeffs = [_R_ONE]
-    for t in range(n, -1, -1):
-        shift = RatFunc.from_poly(devil(t, t + 1).scale((-1) ** (t + 1)))
-        nxt = [RatFunc.zero()] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] = nxt[d + 1] + c
-            nxt[d] = nxt[d] + c * shift
-        coeffs = nxt
-    return tuple(coeffs)
+    return tuple(c * lead for c in _factor_product(k))
 
 
 @lru_cache(maxsize=None)
@@ -97,7 +92,7 @@ def one_strand_product(a: int, b: int, n: int) -> tuple[RatFunc, ...]:
             continue
         for j, cj in enumerate(pb):
             prod[i + j] = prod[i + j] + ci * cj
-    mp = _minpoly(n)
+    mp = _factor_product(n + 1)  # monic minimal polynomial of X: roots 0 and (-1)^k "[k][k+1]"
     deg_m = len(mp) - 1
     while len(prod) > deg_m:
         top = prod.pop()
@@ -224,6 +219,39 @@ def relation_table(n: int) -> dict[tuple[int, int, int], list[Term]]:
 # -- elements and canonicalization -----------------------------------------------
 
 
+def _add_to(terms: dict, w, c) -> None:
+    """terms[w] += c, dropping w when the sum is zero."""
+    s = terms.get(w)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = s
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """The sum of two linear combinations of words."""
+    out = dict(a)
+    for w, c in b.items():
+        _add_to(out, w, c)
+    return out
+
+
+def _accumulate(terms: dict, w, c) -> None:
+    """terms[w] += c; a zero sum is kept (canonicalization drops it)."""
+    s = terms.get(w)
+    terms[w] = c if s is None else s + c
+
+
+def _concat_terms(a: dict, b: dict) -> dict:
+    """The product of two linear combinations, words concatenated."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _accumulate(out, w1 + w2, c1 * c2)
+    return out
+
+
 class AlgElement:
     """A linear combination of X-letter words with exact coefficients.
 
@@ -253,15 +281,7 @@ class AlgElement:
         return AlgElement(n, {((i, k),): _R_ONE}, canonical=True)
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return AlgElement(self.n, out, canonical=True)
+        return AlgElement(self.n, _add_terms(self.terms, other.terms), canonical=True)
 
     def scale(self, c: RatFunc | LaurentPoly) -> "AlgElement":
         if isinstance(c, LaurentPoly):
@@ -271,15 +291,7 @@ class AlgElement:
         return AlgElement(self.n, {w: v * c for w, v in self.terms.items()}, canonical=True)
 
     def __mul__(self, other: "AlgElement") -> "AlgElement":
-        raw: dict[XWord, RatFunc] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = raw.get(w)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                raw[w] = s
-        return AlgElement(self.n, raw)
+        return AlgElement(self.n, _concat_terms(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AlgElement):
@@ -306,12 +318,7 @@ def _canonicalize(raw: dict[XWord, RatFunc], n: int) -> dict[XWord, RatFunc]:
         word, coeff = stack.pop()
         pos = _first_reduction(word, n)
         if pos is None:
-            s = out.get(word)
-            s = coeff if s is None else s + coeff
-            if s.is_zero():
-                out.pop(word, None)
-            else:
-                out[word] = s
+            _add_to(out, word, coeff)
             continue
         kind, p = pos
         if kind == "drop":
@@ -350,93 +357,14 @@ def _first_reduction(word: XWord, n: int):
 
 
 def normalize(elem: AlgElement, m: int, n: int) -> AlgElement:
-    """Rewrite every word so that the top strand index m-1 occurs at most
-    once, reducing lower-index sandwiches along the way whenever the
-    applicable table row cannot reintroduce a repetition higher up.
-
-    The selection policy guarantees termination: a rule with outer index
-    above its middle trades an outer repeat for one extra lower letter,
-    and a rule with outer index below its middle is only applied when its
-    right-hand side has no doubled middle letter.
-    """
+    """Rewrite every word on m strands so that the top strand index m-1
+    occurs at most once (the form the trace rule strips off)."""
     if n > 3:
         raise ValueError("symbolic rewriting needs the rank <= 3 relation tables")
     out = AlgElement(n, {}, canonical=True)
     for word, coeff in elem.terms.items():
-        red = _reduce_general(word, n)
-        out = out + red.scale(coeff)
+        out = out + _reduce_top(word, m - 1, n).scale(coeff)
     return out
-
-
-@lru_cache(maxsize=None)
-def _lot_only(n: int, a: int, b: int, c: int) -> bool:
-    """True if the table row for (a, b, c) never doubles the middle letter."""
-    rule = relation_table(n).get((a, b, c))
-    if rule is None:
-        return False
-    return all(sum(1 for sym, _ in word if sym == "M") <= 1 for _, word in rule)
-
-
-def _find_sandwich(word: XWord, n: int):
-    """A reducible pair: two occurrences of index i, everything between
-    far-commuting except at most one letter of one adjacent index."""
-    best = None
-    for p1 in range(len(word)):
-        i = word[p1][0]
-        p2 = next((p for p in range(p1 + 1, len(word)) if word[p][0] == i), None)
-        if p2 is None:
-            continue
-        between = word[p1 + 1 : p2]
-        adjacent = [p for p, (j, _) in enumerate(between) if abs(j - i) == 1]
-        if len(adjacent) > 1:
-            continue
-        if not adjacent:
-            cand = (i, p1, p2, None)
-        else:
-            j = between[adjacent[0]][0]
-            a, b, c = word[p1][1], between[adjacent[0]][1], word[p2][1]
-            if j == i + 1 and not _lot_only(n, a, b, c):
-                continue  # would trade the repeat upward; leave it alone
-            cand = (i, p1, p2, p1 + 1 + adjacent[0])
-        if best is None or i > best[0]:
-            best = cand
-    return best
-
-
-def _reduce_general(word: XWord, n: int) -> AlgElement:
-    elem = AlgElement(n, {word: _R_ONE})
-    while True:
-        target = None
-        for w in elem.terms:
-            found = _find_sandwich(w, n)
-            if found is not None:
-                target = (w, found)
-                break
-        if target is None:
-            return elem
-        w, (i, p1, p2, pm) = target
-        coeff = elem.terms.pop(w)
-        produced = AlgElement(n, {}, canonical=True)
-        if pm is None:
-            row = one_strand_product(w[p1][1], w[p2][1], n)
-            for k, ck in enumerate(row):
-                if ck.is_zero():
-                    continue
-                mid = ((i, k),) if k else ()
-                new = w[:p1] + w[p1 + 1 : p2] + mid + w[p2 + 1 :]
-                produced = produced + AlgElement(n, {new: ck})
-        else:
-            j = w[pm][0]
-            a, b, c = w[p1][1], w[pm][1], w[p2][1]
-            rule = relation_table(n).get((a, b, c))
-            if rule is None:
-                raise RuntimeError(f"relation table incomplete: no rule for pattern {(a, b, c)}")
-            left, right = w[p1 + 1 : pm], w[pm + 1 : p2]
-            for rc, pattern in rule:
-                body = tuple((i if sym == "O" else j, p) for sym, p in pattern)
-                new = w[:p1] + left + body + right + w[p2 + 1 :]
-                produced = produced + AlgElement(n, {new: rc})
-        elem = elem + produced.scale(coeff)
 
 
 def _occurrences(word: XWord, t: int) -> list[int]:
@@ -463,18 +391,17 @@ def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
         a, c = work[p1][1], work[p2][1]
         segment = work[p1 + 1 : p2]
         inner = _reduce_top(segment, t - 1, n)
-        produced = AlgElement(n, {}, canonical=True)
+        # the step's terms, each times coeff, canonicalized once at the end
+        raw: dict[XWord, RatFunc] = {}
         for seg, seg_c in inner.terms.items():
+            seg_c = seg_c * coeff
             mids = _occurrences(seg, t - 1)
             if not mids:
                 # the two top letters become adjacent and merge
-                row = one_strand_product(a, c, n)
-                for k, ck in enumerate(row):
-                    if ck.is_zero():
-                        continue
-                    mid = ((t, k),) if k else ()
-                    new = work[:p1] + seg + mid + work[p2 + 1 :]
-                    produced = produced + AlgElement(n, {new: seg_c * ck})
+                for k, ck in enumerate(one_strand_product(a, c, n)):
+                    if not ck.is_zero():
+                        mid = ((t, k),) if k else ()
+                        _accumulate(raw, work[:p1] + seg + mid + work[p2 + 1 :], seg_c * ck)
                 continue
             pm = mids[0]
             b = seg[pm][1]
@@ -484,9 +411,8 @@ def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
                 raise RuntimeError(f"relation table incomplete: no rule for pattern {(a, b, c)}")
             for rc, pattern in rule:
                 body = tuple((t if sym == "O" else t - 1, p) for sym, p in pattern)
-                new = work[:p1] + left + body + right + work[p2 + 1 :]
-                produced = produced + AlgElement(n, {new: seg_c * rc})
-        elem = elem + produced.scale(coeff)
+                _accumulate(raw, work[:p1] + left + body + right + work[p2 + 1 :], seg_c * rc)
+        elem = elem + AlgElement(n, raw)
 
 
 # -- trace evaluation --------------------------------------------------------------
@@ -505,14 +431,12 @@ def _trace_word(word: XWord, m: int, n: int) -> RatFunc:
     hit = _trace_cache.values.get(key)
     if hit is not None:
         return hit
+    t = m - 1
+    occ = _occurrences(word, t)
     if m == 1:
         assert word == ()
         val = circle_scalar(n)
-        _trace_cache.values[key] = val
-        return val
-    t = m - 1
-    occ = _occurrences(word, t)
-    if not occ:
+    elif not occ:
         val = trace_rule_coeff(n, 0) * _trace_word(word, m - 1, n)
     elif len(occ) == 1:
         p = occ[0]
@@ -522,8 +446,6 @@ def _trace_word(word: XWord, m: int, n: int) -> RatFunc:
         )
     else:
         val = _trace_eval_inner(_reduce_top(word, t, n), m, n)
-        _trace_cache.values[key] = val
-        return val
     _trace_cache.values[key] = val
     return val
 
@@ -588,15 +510,7 @@ class FreeElement:
         return FreeElement({(): c})
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FreeElement(out)
+        return FreeElement(_add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(RatFunc.from_poly(LaurentPoly.const(-1)))
@@ -607,15 +521,7 @@ class FreeElement:
         return FreeElement({w: v * c for w, v in self.terms.items()})
 
     def __mul__(self, other):
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = out.get(w)
-                prod = c1 * c2
-                s = prod if s is None else s + prod
-                out[w] = s
-        return FreeElement(out)
+        return FreeElement(_concat_terms(self.terms, other.terms))
 
     def is_zero(self):
         return not self.terms

@@ -257,25 +257,15 @@ def _content_and_primitive(p: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
     return content, prim
 
 
-def _poly_divmod(a: dict[int, Fraction], b: dict[int, Fraction]):
-    """Division with remainder for ordinary (nonneg-exponent) polynomials
-    given as dicts; coefficients Fractions."""
-    a = dict(a)
-    q: dict[int, Fraction] = {}
-    db = max(b)
-    lb = b[db]
-    while a and max(a) >= db:
-        da = max(a)
-        f = a[da] / lb
-        q[da - db] = f
-        for e, c in b.items():
-            ne = da - db + e
-            s = a.get(ne, Fraction(0)) - f * c
-            if s:
-                a[ne] = s
-            else:
-                a.pop(ne, None)
-    return q, a
+def _eliminate(r: dict[int, int], y: dict[int, int], shift: int, f: int) -> None:
+    """r -= f * v^shift * y, in place (integer coefficients, zeros dropped)."""
+    for e, c in y.items():
+        ne = shift + e
+        s = r.get(ne, 0) - f * c
+        if s:
+            r[ne] = s
+        else:
+            r.pop(ne, None)
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -309,13 +299,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
                 # leading coefficients divisible in the common case)
                 r = {e: c * ly for e, c in r.items()}
                 f = r[dr] // ly
-            for e, c in y.items():
-                ne = dr - dy + e
-                s = r.get(ne, 0) - f * c
-                if s:
-                    r[ne] = s
-                else:
-                    r.pop(ne, None)
+            _eliminate(r, y, dr - dy, f)
         if r:
             g = 0
             for c in r.values():
@@ -338,18 +322,30 @@ def _shifted_monic(p: LaurentPoly) -> LaurentPoly:
 
 
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a / b; raises if b does not divide a."""
+    """Exact division a / b; raises if b does not divide a.
+
+    Divides the primitive integer parts: if b divides a, their quotient has
+    integer coefficients (Gauss's lemma), so every step divides exactly."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
     if a.is_zero():
         return _ZERO
-    sa, sb = a.v_valuation(), b.v_valuation()
-    x = {e - sa: Fraction(c) for e, c in a.c.items()}
-    y = {e - sb: Fraction(c) for e, c in b.c.items()}
-    q, r = _poly_divmod(x, y)
-    if r:
+    ca, x = _content_and_primitive(a)
+    cb, y = _content_and_primitive(b)
+    dy = max(y)
+    ly = y[dy]
+    q: dict[int, int] = {}
+    while x and max(x) >= dy:
+        dx = max(x)
+        f, rem = divmod(x[dx], ly)
+        if rem:
+            raise ValueError("inexact polynomial division")
+        q[dx - dy] = f
+        _eliminate(x, y, dx - dy, f)
+    if x:
         raise ValueError("inexact polynomial division")
-    return LaurentPoly({e + sa - sb: c for e, c in q.items()})
+    scale, shift = _norm_coeff(ca / cb), a.v_valuation() - b.v_valuation()
+    return LaurentPoly({e + shift: c * scale for e, c in q.items()})
 
 
 class RatFunc:
@@ -607,11 +603,7 @@ class GradedScalar:
 
 def qint(n: int) -> LaurentPoly:
     """The quantum integer [n] = (q^n - q^{-n}) / (q - q^{-1})."""
-    if n == 0:
-        return _ZERO
-    if n < 0:
-        return -qint(-n)
-    return LaurentPoly({2 * e: 1 for e in range(-(n - 1), n, 2)})
+    return qint_base(n, 1)
 
 
 def qint_base(n: int, s: int) -> LaurentPoly:
@@ -688,19 +680,15 @@ def rho(l: int) -> RatFunc:
     r = RatFunc.one()
     qinv = RatFunc.from_poly(LaurentPoly.q_pow(-1))
     for t in range(l, 0, -1):
-        sign = (-1) ** _binom2(l + 2 - t)
+        sign = (-1) ** binom2(l + 2 - t)
         coeff = RatFunc(devil(l + 1 - t, l + t), devil(t, t))
         r = RatFunc.from_poly(LaurentPoly.const(sign)) + qinv * coeff * r
     return r
 
 
-def _binom2(k: int) -> int:
-    return k * (k - 1) // 2
-
-
 def binom2(k: int) -> int:
     """Binomial coefficient C(k, 2), allowing k < 2 (where it is 0)."""
-    return _binom2(k)
+    return k * (k - 1) // 2
 
 
 def self_conjugate_partitions(n: int) -> Iterable[tuple[int, ...]]:

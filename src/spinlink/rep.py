@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable
 
-from .qalg import LaurentPoly, RatFunc, qint
+from .qalg import LaurentPoly, RatFunc, qint, qint_base
 
 Key = tuple[int, ...]
 Sig = tuple[str, ...]
@@ -383,7 +383,6 @@ def lusztig_T(i: int, n: int) -> LinOp:
         raise ValueError("index out of range")
     qi_exp = 2 if i < n else 1  # q_i = q^{qi_exp}
     e_op, f_op = spin_action("e", i, n), spin_action("f", i, n)
-    qi_int = lambda m: LaurentPoly({2 * qi_exp * t: 1 for t in range(-(m - 1), m, 2)})  # noqa: E731
 
     op = LinOp(n, S_SIG, S_SIG)
     for J in subset_iter(n):
@@ -400,10 +399,10 @@ def lusztig_T(i: int, n: int) -> LinOp:
             fact = LaurentPoly.one()
             for t in range(1, b + 1):
                 vec = f_op.apply_column(vec)
-                fact = fact * qi_int(t)
+                fact = fact * qint_base(t, qi_exp)
             for t in range(1, a + 1):
                 vec = e_op.apply_column(vec)
-                fact = fact * qi_int(t)
+                fact = fact * qint_base(t, qi_exp)
             if not vec:
                 break
             sign = LaurentPoly.q_pow(qi_exp * b, (-1) ** b)

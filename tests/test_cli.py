@@ -53,6 +53,7 @@ class TestPolySpin:
     def test_symbolic_rank_guard(self, capsys):
         code, _, err = run(capsys, "poly", "spin", "--n", "4", "--braid", "s1", "--engine", "symbolic")
         assert code == 2
+        assert err.startswith("error: ") and "n <= 3" in err
 
 
 class TestPolySln:

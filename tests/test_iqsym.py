@@ -88,19 +88,20 @@ class TestRelationTable:
 
 
 class TestNormalize:
+    # rewriting reduces the top index, so the (1,1,1) row is probed as X2 X1 X2
     def test_tl_relation(self):
         n = 1
-        e = letters(n, (1, 1), (2, 1), (1, 1))
-        assert normalize(e, 3, n) == letters(n, (1, 1))
+        e = letters(n, (2, 1), (1, 1), (2, 1))
+        assert normalize(e, 3, n) == letters(n, (2, 1))
 
     def test_devils_serre_shape(self):
         n = 2
-        e = letters(n, (1, 1), (2, 1), (1, 1))
+        e = letters(n, (2, 1), (1, 1), (2, 1))
         want = (
-            letters(n, (1, 2), (2, 1))
-            + letters(n, (2, 1), (1, 2))
-            + letters(n, (1, 2)).scale(qint(2))
-            + letters(n, (1, 1))
+            letters(n, (2, 2), (1, 1))
+            + letters(n, (1, 1), (2, 2))
+            + letters(n, (2, 2)).scale(qint(2))
+            + letters(n, (2, 1))
         )
         assert normalize(e, 3, n) == want
 
@@ -122,14 +123,16 @@ class TestNormalize:
             assert scaled == nr.scale(qint(3))
             assert trace_eval(nr, m, n) == trace_eval(e, m, n)
 
-    def test_top_index_occurs_once(self):
-        n, m = 2, 3
+    @pytest.mark.parametrize("n, m", [(2, 3), (3, 3), (2, 4)])
+    def test_top_index_occurs_once(self, n, m):
         rng = random.Random(5)
         for _ in range(10):
             word = [(rng.randint(1, m - 1), rng.randint(1, n)) for _ in range(5)]
-            nr = normalize(letters(n, *word), m, n)
+            e = letters(n, *word)
+            nr = normalize(e, m, n)
             for w in nr.terms:
                 assert sum(1 for i, _ in w if i == m - 1) <= 1
+            assert trace_eval(nr, m, n) == trace_eval(e, m, n)
 
 
 class TestTraceEval:

@@ -13,6 +13,7 @@ from spinlink.qalg import (
     appendixA_suite,
     d_value,
     devil,
+    poly_divexact,
     qbinom,
     qbinom_base,
     qint,
@@ -155,6 +156,41 @@ class TestRatFunc:
         assert x.den.v_valuation() == 0
         assert all(isinstance(c, int) for c in x.den.c.values())
         assert x.den.leading_coeff() > 0
+
+
+class TestPolyDivexact:
+    def test_fraction_coefficients(self):
+        a = LaurentPoly({0: Fraction(1, 2), 2: Fraction(-3, 4)})
+        b = LaurentPoly({0: Fraction(2, 3), 1: 5})
+        assert poly_divexact(a * b, b) == a
+        assert poly_divexact(a * b, a) == b
+
+    def test_divisor_not_monic(self):
+        b = LaurentPoly({0: 1, 1: 2})  # 2v + 1
+        a = LaurentPoly({0: 3, 2: -1, 3: 7})
+        assert poly_divexact(a * b, b) == a
+        assert poly_divexact(b.scale(6), b) == LaurentPoly.const(6)
+
+    def test_laurent_shifts(self):
+        a = qint(3).shift(-5)
+        b = LaurentPoly({-3: 2, -1: 1})
+        assert poly_divexact((a * b).shift(7), b.shift(-2)) == a.shift(9)
+        assert poly_divexact(b.shift(4), b) == LaurentPoly.v_pow(4)
+
+    def test_inexact_raises(self):
+        with pytest.raises(ValueError):
+            poly_divexact(qint(3), qint(2))
+        with pytest.raises(ValueError):
+            poly_divexact(LaurentPoly({0: 1, 2: 1}), LaurentPoly({0: 1, 1: 2}))
+
+    def test_zero_divisor_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(qint(2), LaurentPoly.zero())
+
+    @given(nonzero_polys, nonzero_polys)
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, a, b):
+        assert poly_divexact(a * b, b) == a
 
 
 class TestGradedScalar:
