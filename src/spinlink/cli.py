@@ -10,12 +10,15 @@ reports can be used as golden files.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
+from fractions import Fraction
 
 from . import xcalc
 from .qalg import GradedScalar, appendixA_suite
-from .spinpoly import BraidParseError, eval_spin, parse_braid
+from .spinpoly import BraidParseError, BraidWord, eval_spin, parse_braid
 
 
 def _scalar_out(value: GradedScalar, fmt: str) -> str:
@@ -138,6 +141,23 @@ def _suite_schur_inner(args) -> list[dict]:
             "status": "pass" if (d2 and d3) else "fail",
         }
     )
+    # production (weight spaces) against the oracle (annular evaluation)
+    cases = [(parse_braid(text, m), (c,) * m, N) for text, m, N, c in schur.WITNESSES]
+    letters = [(i, s) for i in (1, 2) for s in (1, -1)]
+    for length in range(4):
+        for word in itertools.product(letters, repeat=length):
+            for N in (2, 3, 4):
+                cases += [(BraidWord(3, word), (c, c, c), N) for c in (1, 2)]
+    same = all(schur.eval_slN(*case) == schur.eval_slN_annular(*case) for case in cases)
+    report.append(
+        {"identity_id": "weight-space-equals-annular", "parameters": {}, "status": "pass" if same else "fail"}
+    )
+    # a knot's value at q = 1 is +- the dimension C(N, c) of its color
+    dims = all(
+        abs(schur.eval_slN(parse_braid(text, m), (c,) * m, N).body.subs_v(Fraction(1))) == math.comb(N, c)
+        for text, m, N, c in schur.WITNESSES
+    )
+    report.append({"identity_id": "q1-dimension", "parameters": {}, "status": "pass" if dims else "fail"})
     return report
 
 

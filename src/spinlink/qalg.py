@@ -622,13 +622,6 @@ def qtwo(k: int) -> LaurentPoly:
     return LaurentPoly({2 * k: 1, -2 * k: 1})
 
 
-def qfact(n: int) -> LaurentPoly:
-    p = _ONE
-    for m in range(2, n + 1):
-        p = p * qint(m)
-    return p
-
-
 def qbinom(n: int, k: int) -> LaurentPoly:
     """Quantum binomial [n choose k]; zero outside 0 <= k <= n."""
     return qbinom_base(n, k, 1)

@@ -103,6 +103,25 @@ class TestVerify:
         assert all(e["status"] == "pass" for e in report)
         assert all({"identity_id", "parameters", "status"} <= set(e) for e in report)
 
+    def test_schur_runs_both_routes(self, capsys):
+        code, out, _ = run(capsys, "verify", "schur", "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert [e["identity_id"] for e in report] == [
+            "bilinear-base-case",
+            "normalization-dictionary-trefoil",
+            "weight-space-equals-annular",
+            "q1-dimension",
+        ]
+        assert all(e["status"] == "pass" and e["parameters"] == {} for e in report)
+
+    def test_schur_fails_when_the_routes_disagree(self, capsys, monkeypatch):
+        monkeypatch.setattr(schur, "eval_slN_annular", lambda *args: GradedScalar.zero())
+        code, out, _ = run(capsys, "verify", "schur", "--format", "json")
+        assert code == 1
+        status = {e["identity_id"]: e["status"] for e in json.loads(out)}
+        assert status["weight-space-equals-annular"] == "fail" and status["q1-dimension"] == "pass"
+
     def test_conjectures_never_gate(self, capsys):
         code, out, _ = run(capsys, "verify", "conjectures", "--n", "2")
         assert code == 0

@@ -1,11 +1,14 @@
-"""Tests for the q-Schur route: EF calculus, annular evaluation, sl_N values."""
+"""Tests for colored sl_N: EF calculus, annular evaluation, the weight-space route, and properties of the values."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, qbinom, qint
+from spinlink import schur
+from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, poly_divexact, qbinom, qint
 from spinlink.schur import (
     SchurElement,
     bilinear_form,
@@ -14,6 +17,7 @@ from spinlink.schur import (
     colored_exponent,
     ef_commute,
     eval_slN,
+    eval_slN_annular,
     kauffman_bracket,
     kauffman_jones,
     sl2_from_spin1,
@@ -34,6 +38,15 @@ class TestEFCommute:
             (("F", 1, 1), ("E", 1, 1)): LaurentPoly.one(),
             (): qint(2),
         }
+
+    def test_negative_binomial_top(self):
+        # e f 1_a = f e 1_a + [a1 - a2] 1_a with a1 - a2 = -1: [-1 choose 1] = -1
+        out = ef_commute((("E", 1, 1), ("F", 1, 1)), 0, (1, 2), 3)
+        assert out == {(("F", 1, 1), ("E", 1, 1)): LaurentPoly.one(), (): LaurentPoly.const(-1)}
+        # e^(2) f^(2) at a1 - a2 = -2: [-2 choose 1] = -[2], [-2 choose 2] = [3]
+        out = ef_commute((("E", 1, 2), ("F", 1, 2)), 0, (1, 3), 4)
+        assert out[(("F", 1, 1), ("E", 1, 1))] == -qint(2)
+        assert out[()] == qbinom(3, 2)
 
     def test_needs_matching_pair(self):
         with pytest.raises(ValueError):
@@ -224,3 +237,175 @@ class TestFraming:
             # ratio = stab / base as an exact scalar
             ratios.add(str(stab * base.inv()))
         assert len(ratios) == 1
+
+
+def _at_one(value: GradedScalar) -> Fraction:
+    return value.body.subs_v(Fraction(1))
+
+
+def _all_words(m: int, max_len: int):
+    letters = [(i, s) for i in range(1, m) for s in (1, -1)]
+    for n in range(max_len + 1):
+        for w in itertools.product(letters, repeat=n):
+            yield BraidWord(m, w)
+
+
+class TestDividedPowers:
+    @staticmethod
+    def _single(kind, u, w, N):
+        # one E (or F) on the N-fold tensor product: E acts on row r with K on the
+        # rows after it, F with K^{-1} on the rows before it
+        out = {}
+        for r in range(N):
+            x, y = u >> r & 1, w >> r & 1
+            if (kind == "E" and (x, y) != (0, 1)) or (kind == "F" and (x, y) != (1, 0)):
+                continue
+            others = range(r + 1, N) if kind == "E" else range(r)
+            e = sum((u >> t & 1) - (w >> t & 1) for t in others)
+            pair = (u ^ 1 << r, w ^ 1 << r)
+            out[pair] = LaurentPoly.q_pow(e if kind == "E" else -e)
+        return out
+
+    @pytest.mark.parametrize("kind", ("E", "F"))
+    def test_closed_form_is_power_over_factorial(self, kind):
+        for N in range(1, 6):
+            for u, w in itertools.product(range(1 << N), repeat=2):
+                vec = {(u, w): LaurentPoly.one()}
+                for s in range(0, N + 1):
+                    fact = math.prod((qint(t) for t in range(1, s + 1)), start=LaurentPoly.one())
+                    want = {p: poly_divexact(c, fact) for p, c in vec.items()}
+                    got = schur._divided_power(kind, s, u, w, N)
+                    assert {p: LaurentPoly.q_pow(e) for p, e in got.items()} == want, (kind, N, u, w, s)
+                    nxt = {}
+                    for p, c in vec.items():
+                        for p2, c2 in self._single(kind, *p, N).items():
+                            nxt[p2] = nxt.get(p2, LaurentPoly.zero()) + c * c2
+                    vec = {p: c for p, c in nxt.items() if c}
+
+
+class TestWeightSpaceRoute:
+    def test_dominant_states(self):
+        for N in range(0, 6):
+            for m in (1, 2, 3):
+                for a in itertools.product(range(N + 1), repeat=m):
+                    states = schur._dominant_states(a, N)
+                    # the filtered product of all states of weight a
+                    want = []
+                    columns = [[u for u in range(1 << N) if bin(u).count("1") == x] for x in a]
+                    for cols in itertools.product(*columns):
+                        nu = [sum(col >> r & 1 for col in cols) for r in range(N)]
+                        if all(x >= y for x, y in zip(nu, nu[1:])):
+                            want.append(cols)
+                    assert sorted(s for s, _ in states) == sorted(want), (N, a)
+                    # weighted with their orbit sums they give the base case
+                    base = math.prod((qbinom(N, x) for x in a), start=LaurentPoly.one())
+                    assert sum((w for _, w in states), LaurentPoly.zero()) == base, (N, a)
+        assert len(schur._dominant_states((4, 4, 4), 8)) == 1495
+
+    @pytest.mark.parametrize("N", (2, 3, 4))
+    def test_equals_annular_on_short_words(self, N):
+        for b in _all_words(3, 4):
+            for c in (1, 2):
+                assert eval_slN(b, (c, c, c), N) == eval_slN_annular(b, (c, c, c), N), (b.letters, N, c)
+
+    def test_witness_table(self):
+        # braids whose closures the annular route got wrong before the EF
+        # binomial was extended to negative tops
+        for text, m, N, c in schur.WITNESSES:
+            b = parse_braid(text, m)
+            value = eval_slN(b, (c,) * m, N)
+            assert value == eval_slN_annular(b, (c,) * m, N)
+            assert abs(_at_one(value)) == math.comb(N, c), (text, N, c)
+
+    def test_long_word_is_linear_in_crossings(self):
+        # (s1 s2)^15: 30 crossings, more than 2^30 expanded words for the annular route
+        value = eval_slN(parse_braid(" ".join(["1 2"] * 15), 3), (1, 1, 1), 3)
+        assert _at_one(value) == 27
+
+    def test_operator_caches_are_bounded(self):
+        for fn in (schur._crossing, schur._dominant_states, schur._orbit_weight, schur._binom_merge):
+            assert fn.cache_info().maxsize is not None
+
+
+class TestTypeAProperties:
+    """Properties of the colored invariant itself, checked without a second route."""
+
+    # (strands, braid, largest N): every color 0 <= c <= N is covered.  At N = 7, 8
+    # (s1 s2)^4 takes 4 s to a minute per middle color, so it stops at N = 6.
+    CASES = (
+        (3, "1 2", 8),
+        (3, "1 -2 1 -2", 8),
+        (3, "1 1 1 2", 8),
+        (3, "1 1 2", 8),
+        (3, "1 2 1 2 1 2 1 2", 6),
+        (4, "1 2 3", 6),
+        (4, "1 -2 3 -2", 6),
+        (4, "1 1 2 -3", 6),
+        (5, "1 2 3 4", 4),
+        (5, "1 -2 3 -4 3", 4),
+    )
+
+    @staticmethod
+    def _theta(N, c):
+        """The colored twist: eval_slN of the closure of s1 over the unknot."""
+        return eval_slN(parse_braid("1", 2), (c, c), N) * GradedScalar(0, qbinom(N, c)).inv()
+
+    def test_twist_is_a_signed_monomial(self):
+        for N in range(1, 9):
+            for c in range(N + 1):
+                body = self._theta(N, c).body.as_poly()
+                assert len(body.c) == 1 and abs(next(iter(body.c.values()))) == 1, (N, c)
+        assert self._theta(4, 2) == GradedScalar(0, LaurentPoly.q_pow(-5))
+        assert self._theta(6, 3) == GradedScalar(0, LaurentPoly.v_pow(-21))
+
+    @pytest.mark.parametrize("m,top", ((3, 8), (4, 6), (5, 4)))
+    def test_unknot_braids(self, m, top):
+        # s1 ... s_{m-1} closes to the unknot with m - 1 twists
+        text = " ".join(str(i) for i in range(1, m))
+        for N in range(1, top + 1):
+            for c in range(N + 1):
+                want = GradedScalar(0, qbinom(N, c))
+                for _ in range(m - 1):
+                    want = want * self._theta(N, c)
+                assert eval_slN(parse_braid(text, m), (c,) * m, N) == want, (N, c)
+
+    @pytest.mark.parametrize("m,text,top", CASES)
+    def test_q1_value_is_a_dimension_power(self, m, text, top):
+        # at q = 1 a closure with k components gives +- C(N, c)^k
+        b = parse_braid(text, m)
+        k = closure_components(b)
+        for N in range(1, top + 1):
+            for c in range(N + 1):
+                got = _at_one(eval_slN(b, (c,) * m, N))
+                assert abs(got) == math.comb(N, c) ** k, (text, N, c)
+
+
+class TestLambdaSpin:
+    """The paper's decategorified identity: Lambda^n-colored sl_{2n} minus the raw
+    spin-colored so(2n+1) polynomial of the mirror is 2 P^-, so it lies in
+    2 Z[q^{+-1/2}]."""
+
+    @staticmethod
+    def _difference(b, n):
+        return eval_slN(b, (n,) * b.strands, 2 * n) - eval_spin(b, n, "raw", mirror=True)
+
+    @staticmethod
+    def _is_even(value):
+        p = value.body.as_poly()
+        return all(Fraction(c).denominator == 1 and c % 2 == 0 for c in p.c.values())
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_short_three_strand_words(self, n):
+        for b in _all_words(3, 4):
+            assert self._is_even(self._difference(b, n)), (n, b.letters)
+
+    @pytest.mark.parametrize("text,m", [(" ".join(["1"] * k), 2) for k in range(6)]
+                             + [("-1 -1 -1", 2), ("1 2", 3), ("1 -2 1 -2", 3), ("1 1 2 -1 2", 3)])
+    def test_rank_three(self, text, m):
+        assert self._is_even(self._difference(parse_braid(text, m), 3))
+
+    def test_rank_three_witness(self):
+        # P^- = (P_sl - P_spin) / 2 for the unknot closure of s1 s2
+        half = self._difference(parse_braid("1 2", 3), 3) * Fraction(1, 2)
+        want = sum((LaurentPoly.q_pow(-e) for e in range(16, 27, 2)), LaurentPoly.zero())
+        assert half == GradedScalar(0, want)
