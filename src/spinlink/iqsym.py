@@ -16,6 +16,16 @@ trace rule strips off (closing the last strand multiplies by an explicit
 devil-product coefficient).  Repeating this strand by strand evaluates
 any closed word, and hence any braid, without ever touching a matrix.
 
+Every coefficient on this route is a Laurent polynomial: the one-strand
+products, the relation-table rows, the trace-rule coefficients and the
+circle value all have denominator 1 at ranks 1-3 (the public functions
+below still return them as RatFunc).  Elements and trace values are
+therefore carried as LaurentPoly, every table entry is converted with
+as_poly() (which raises on an entry that is not Laurent), and only the
+final trace is wrapped as a GradedScalar.  Trace values are interned, and a
+trace sum adds up the coefficients of all words sharing one value before
+multiplying, once per distinct value.
+
 The relation tables are stored as data.  The rank-3 table consists of the
 Serre-type base relation, the (a,1,c), (a,2,c), (a,3,c) power rows and
 their monomial reversals, and one further row (the (2,3,2) pattern)
@@ -35,7 +45,12 @@ XWord = tuple[tuple[int, int], ...]
 Term = tuple[RatFunc, XWord]
 
 _ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
 _R_ONE = RatFunc.one()
+
+# Shared entry bound of the trace cache and its interned values: far above
+# the ~8k entries one benchmark batch creates.
+TRACE_CACHE_MAX = 200_000
 
 
 def circle_scalar(n: int) -> RatFunc:
@@ -43,6 +58,7 @@ def circle_scalar(n: int) -> RatFunc:
     return RatFunc.from_poly(d_value(n).scale((-1) ** binom2(n + 1)))
 
 
+@lru_cache(maxsize=64)
 def trace_rule_coeff(n: int, k: int) -> RatFunc:
     """Coefficient picked up when the top-strand letter X^(k) is closed off:
     (-1)^{n(k+1)+C(n-k,2)} prod_{t=1}^{n-k} "[n+1-t][n+t]" / "[t]^2"."""
@@ -58,7 +74,7 @@ def trace_rule_coeff(n: int, k: int) -> RatFunc:
 # -- one-strand algebra ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _factor_product(k: int) -> tuple[RatFunc, ...]:
     """prod_{t=0}^{k-1} (X + (-1)^{t+1} "[t][t+1]") as coefficients of 1, X, X^2, ..."""
     coeffs = [_R_ONE]  # the constant 1
@@ -72,7 +88,7 @@ def _factor_product(k: int) -> tuple[RatFunc, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
     """X^(k) as a polynomial in X (coefficients of 1, x, x^2, ...)."""
     den = _ONE
@@ -82,7 +98,7 @@ def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
     return tuple(c * lead for c in _factor_product(k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def one_strand_product(a: int, b: int, n: int) -> tuple[RatFunc, ...]:
     """Expansion of X^(a) X^(b) in the basis X^(0..n), on a single strand."""
     pa, pb = _x_as_polynomial(a, n), _x_as_polynomial(b, n)
@@ -197,7 +213,7 @@ def _base_rows() -> dict[tuple[int, int, int], list[tuple[LaurentPoly, tuple]]]:
     return rows
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def relation_table(n: int) -> dict[tuple[int, int, int], list[Term]]:
     """The rewriting table for patterns X_i^(a) X_j^(b) X_i^(c) at rank n
     (n <= 3): higher-power letters are set to zero."""
@@ -214,6 +230,23 @@ def relation_table(n: int) -> dict[tuple[int, int, int], list[Term]]:
             kept.append((RatFunc.from_poly(coeff), word))
         out[(a, b, c)] = kept
     return out
+
+
+# -- Laurent views of the tables ---------------------------------------------------
+# Rewriting reads the tables through these views.  as_poly() raises on an
+# entry with a denominator instead of computing with a wrong coefficient.
+
+
+@lru_cache(maxsize=256)
+def _one_strand_laurent(a: int, b: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
+    """The nonzero (k, coefficient) pairs of X^(a) X^(b) on one strand."""
+    return tuple((k, c.as_poly()) for k, c in enumerate(one_strand_product(a, b, n)) if not c.is_zero())
+
+
+@lru_cache(maxsize=8)
+def _relation_laurent(n: int) -> dict[tuple[int, int, int], tuple[tuple[LaurentPoly, tuple], ...]]:
+    """relation_table(n) with Laurent coefficients."""
+    return {pat: tuple((c.as_poly(), w) for c, w in rows) for pat, rows in relation_table(n).items()}
 
 
 # -- elements and canonicalization -----------------------------------------------
@@ -253,7 +286,7 @@ def _concat_terms(a: dict, b: dict) -> dict:
 
 
 class AlgElement:
-    """A linear combination of X-letter words with exact coefficients.
+    """A linear combination of X-letter words with Laurent coefficients.
 
     Words are kept canonical: adjacent equal-strand letters are merged via
     the one-strand table, and far-commuting neighbours are sorted by strand
@@ -262,7 +295,7 @@ class AlgElement:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: dict[XWord, RatFunc] | None = None, canonical: bool = False):
+    def __init__(self, n: int, terms: dict[XWord, LaurentPoly] | None = None, canonical: bool = False):
         self.n = n
         if terms is None:
             terms = {}
@@ -270,7 +303,7 @@ class AlgElement:
 
     @staticmethod
     def unit(n: int) -> "AlgElement":
-        return AlgElement(n, {(): _R_ONE}, canonical=True)
+        return AlgElement(n, {(): _ONE}, canonical=True)
 
     @staticmethod
     def letter(i: int, k: int, n: int) -> "AlgElement":
@@ -278,14 +311,15 @@ class AlgElement:
             return AlgElement(n, {}, canonical=True)
         if k == 0:
             return AlgElement.unit(n)
-        return AlgElement(n, {((i, k),): _R_ONE}, canonical=True)
+        return AlgElement(n, {((i, k),): _ONE}, canonical=True)
 
     def __add__(self, other: "AlgElement") -> "AlgElement":
         return AlgElement(self.n, _add_terms(self.terms, other.terms), canonical=True)
 
     def scale(self, c: RatFunc | LaurentPoly) -> "AlgElement":
-        if isinstance(c, LaurentPoly):
-            c = RatFunc.from_poly(c)
+        """Multiply by c; a RatFunc must have denominator 1 (else ValueError)."""
+        if isinstance(c, RatFunc):
+            c = c.as_poly()
         if c.is_zero():
             return AlgElement(self.n, {}, canonical=True)
         return AlgElement(self.n, {w: v * c for w, v in self.terms.items()}, canonical=True)
@@ -311,8 +345,8 @@ class AlgElement:
         return " + ".join(bits)
 
 
-def _canonicalize(raw: dict[XWord, RatFunc], n: int) -> dict[XWord, RatFunc]:
-    out: dict[XWord, RatFunc] = {}
+def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentPoly]:
+    out: dict[XWord, LaurentPoly] = {}
     stack = [(w, c) for w, c in raw.items() if not c.is_zero()]
     while stack:
         word, coeff = stack.pop()
@@ -330,10 +364,7 @@ def _canonicalize(raw: dict[XWord, RatFunc], n: int) -> dict[XWord, RatFunc]:
             continue
         # merge adjacent letters on one strand
         i = word[p][0]
-        row = one_strand_product(word[p][1], word[p + 1][1], n)
-        for k, c in enumerate(row):
-            if c.is_zero():
-                continue
+        for k, c in _one_strand_laurent(word[p][1], word[p + 1][1], n):
             mid = ((i, k),) if k else ()
             stack.append((word[:p] + mid + word[p + 2 :], coeff * c))
     return out
@@ -374,7 +405,7 @@ def _occurrences(word: XWord, t: int) -> list[int]:
 def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
     """All strand indices in word must be <= t; returns an equal element in
     which index t occurs at most once per word."""
-    elem = AlgElement(n, {word: _R_ONE})
+    elem = AlgElement(n, {word: _ONE})
     if t < 1:
         return elem
     while True:
@@ -392,21 +423,20 @@ def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
         segment = work[p1 + 1 : p2]
         inner = _reduce_top(segment, t - 1, n)
         # the step's terms, each times coeff, canonicalized once at the end
-        raw: dict[XWord, RatFunc] = {}
+        raw: dict[XWord, LaurentPoly] = {}
         for seg, seg_c in inner.terms.items():
             seg_c = seg_c * coeff
             mids = _occurrences(seg, t - 1)
             if not mids:
                 # the two top letters become adjacent and merge
-                for k, ck in enumerate(one_strand_product(a, c, n)):
-                    if not ck.is_zero():
-                        mid = ((t, k),) if k else ()
-                        _accumulate(raw, work[:p1] + seg + mid + work[p2 + 1 :], seg_c * ck)
+                for k, ck in _one_strand_laurent(a, c, n):
+                    mid = ((t, k),) if k else ()
+                    _accumulate(raw, work[:p1] + seg + mid + work[p2 + 1 :], seg_c * ck)
                 continue
             pm = mids[0]
             b = seg[pm][1]
             left, right = seg[:pm], seg[pm + 1 :]
-            rule = relation_table(n).get((a, b, c))
+            rule = _relation_laurent(n).get((a, b, c))
             if rule is None:
                 raise RuntimeError(f"relation table incomplete: no rule for pattern {(a, b, c)}")
             for rc, pattern in rule:
@@ -419,14 +449,28 @@ def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
 
 
 class _TraceCache:
-    def __init__(self):
-        self.values: dict[tuple[int, int, XWord], RatFunc] = {}
+    """Trace values by (n, m, word), each value interned so that equal values
+    are one object.  Both tables are cleared together once `values` holds
+    `bound` entries."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.values: dict[tuple[int, int, XWord], LaurentPoly] = {}
+        self.interned: dict[LaurentPoly, LaurentPoly] = {}
+
+    def store(self, key: tuple[int, int, XWord], val: LaurentPoly) -> LaurentPoly:
+        if len(self.values) >= self.bound:
+            self.values.clear()
+            self.interned.clear()
+        val = self.interned.setdefault(val, val)
+        self.values[key] = val
+        return val
 
 
-_trace_cache = _TraceCache()
+_trace_cache = _TraceCache(TRACE_CACHE_MAX)
 
 
-def _trace_word(word: XWord, m: int, n: int) -> RatFunc:
+def _trace_word(word: XWord, m: int, n: int) -> LaurentPoly:
     key = (n, m, word)
     hit = _trace_cache.values.get(key)
     if hit is not None:
@@ -435,25 +479,34 @@ def _trace_word(word: XWord, m: int, n: int) -> RatFunc:
     occ = _occurrences(word, t)
     if m == 1:
         assert word == ()
-        val = circle_scalar(n)
+        val = circle_scalar(n).as_poly()
     elif not occ:
-        val = trace_rule_coeff(n, 0) * _trace_word(word, m - 1, n)
+        val = trace_rule_coeff(n, 0).as_poly() * _trace_word(word, m - 1, n)
     elif len(occ) == 1:
         p = occ[0]
         rotated = word[p + 1 :] + word[:p]
-        val = trace_rule_coeff(n, word[p][1]) * _trace_eval_inner(
-            AlgElement(n, {rotated: _R_ONE}), m - 1, n
+        val = trace_rule_coeff(n, word[p][1]).as_poly() * _trace_eval_inner(
+            AlgElement(n, {rotated: _ONE}), m - 1, n
         )
     else:
         val = _trace_eval_inner(_reduce_top(word, t, n), m, n)
-    _trace_cache.values[key] = val
-    return val
+    return _trace_cache.store(key, val)
 
 
-def _trace_eval_inner(elem: AlgElement, m: int, n: int) -> RatFunc:
-    total = RatFunc.zero()
+def _trace_eval_inner(elem: AlgElement, m: int, n: int) -> LaurentPoly:
+    """The sum of coeff * trace(word), adding the coefficients of the words
+    whose (interned) trace values are one object before multiplying."""
+    groups: dict[int, list] = {}
     for word, coeff in elem.terms.items():
-        total = total + coeff * _trace_word(word, m, n)
+        val = _trace_word(word, m, n)
+        group = groups.get(id(val))
+        if group is None:
+            groups[id(val)] = [val, coeff]
+        else:
+            group[1] = group[1] + coeff
+    total = _ZERO
+    for val, coeff in groups.values():
+        total = total + coeff * val
     return total
 
 
@@ -462,16 +515,15 @@ def trace_eval(elem: AlgElement, m: int, n: int) -> GradedScalar:
     strip top-strand letters one at a time down to the circle value."""
     if n > 3:
         raise ValueError("symbolic trace evaluation needs rank <= 3")
-    return GradedScalar(0, _trace_eval_inner(elem, m, n))
+    return GradedScalar(0, RatFunc.from_poly(_trace_eval_inner(elem, m, n)))
 
 
 def crossing_element(i: int, n: int, sign: int) -> AlgElement:
     """The braiding (sign=+1) or its inverse (sign=-1) on strand i, as the
     devil quantum Weyl sum q^{+-n/2} sum q^{-+k} X_i^(k)."""
-    terms: dict[XWord, RatFunc] = {}
+    terms: dict[XWord, LaurentPoly] = {}
     for k in range(n + 1):
-        coeff = RatFunc.from_poly(LaurentPoly.v_pow(sign * (n - 2 * k)))
-        terms[((i, k),) if k else ()] = coeff
+        terms[((i, k),) if k else ()] = LaurentPoly.v_pow(sign * (n - 2 * k))
     return AlgElement(n, terms, canonical=True)
 
 
@@ -590,9 +642,9 @@ def gk_ops(m: int) -> list[dict]:
 def iota_T(i: int, n: int, sign: int = 1) -> AlgElement:
     """The devil quantum Weyl element sum_k q^{-+k} x_i^(k) (powers above the
     rank vanish)."""
-    terms: dict[XWord, RatFunc] = {}
+    terms: dict[XWord, LaurentPoly] = {}
     for k in range(n + 1):
-        terms[((i, k),) if k else ()] = RatFunc.from_poly(LaurentPoly.q_pow(-sign * k))
+        terms[((i, k),) if k else ()] = LaurentPoly.q_pow(-sign * k)
     return AlgElement(n, terms, canonical=True)
 
 

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinlink import iqsym
 from spinlink.iqsym import (
     AlgElement,
     crossing_element,
@@ -21,7 +24,7 @@ from spinlink.iqsym import (
     circle_scalar,
 )
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, devil, qint
-from spinlink.spinpoly import BraidWord, eval_spin
+from spinlink.spinpoly import BraidWord, eval_spin, sweep_raw_traces
 
 RANKS = (1, 2, 3)
 
@@ -162,6 +165,69 @@ class TestTraceEval:
             assert trace_eval(a * b, m, n) == trace_eval(b * a, m, n)
 
 
+class TestLaurentCoefficients:
+    def test_scale_by_non_laurent_ratfunc_raises(self):
+        with pytest.raises(ValueError):
+            letters(2, (1, 1)).scale(RatFunc(LaurentPoly.one(), qint(2)))
+
+    def test_scale_by_laurent_ratfunc(self):
+        e = letters(2, (2, 1), (1, 2))
+        assert e.scale(RatFunc.from_poly(qint(3))) == e.scale(qint(3))
+
+    def test_non_laurent_table_entry_raises(self, monkeypatch):
+        bad = RatFunc(LaurentPoly.one(), qint(2))
+        monkeypatch.setattr(iqsym, "one_strand_product", lambda a, b, n: (bad,) * (n + 1))
+        iqsym._one_strand_laurent.cache_clear()  # drop the views of the real table
+        with pytest.raises(ValueError):
+            letters(2, (1, 1), (1, 1))
+
+
+class TestTraceSums:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        m=st.integers(2, 3),
+        raw=st.lists(
+            st.tuples(
+                st.lists(st.tuples(st.integers(1, 2), st.integers(1, 2)), max_size=4),
+                st.dictionaries(st.integers(-6, 6), st.integers(-3, 3), min_size=1, max_size=3),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_grouped_sum_equals_per_word_sum(self, n, m, raw):
+        elem = AlgElement(n, {})
+        for word, coeffs in raw:
+            word_letters = [(min(i, m - 1), min(k, n)) for i, k in word]
+            elem = elem + letters(n, *word_letters).scale(LaurentPoly(coeffs))
+        want = GradedScalar.zero()
+        for word, coeff in elem.terms.items():
+            one_word = trace_eval(AlgElement(n, {word: LaurentPoly.one()}, canonical=True), m, n)
+            want = want + GradedScalar(0, coeff) * one_word
+        assert trace_eval(elem, m, n) == want
+
+
+class TestCaches:
+    def test_caches_are_bounded(self):
+        for fn in (iqsym._factor_product, iqsym._x_as_polynomial, iqsym.one_strand_product,
+                   iqsym.relation_table, iqsym.trace_rule_coeff, iqsym._one_strand_laurent,
+                   iqsym._relation_laurent):
+            assert fn.cache_info().maxsize is not None
+        assert iqsym._trace_cache.bound == iqsym.TRACE_CACHE_MAX
+
+    def test_eviction_keeps_values(self, monkeypatch):
+        cache = iqsym._TraceCache(7)
+        monkeypatch.setattr(iqsym, "_trace_cache", cache)
+        rng = random.Random(77)
+        for n in (1, 2):
+            for _ in range(6):
+                word = tuple((rng.randint(1, 3), rng.choice([1, -1])) for _ in range(rng.randint(2, 5)))
+                b = BraidWord(4, word)
+                assert eval_spin_symbolic(b, n) == eval_spin(b, n), word
+                assert len(cache.interned) <= len(cache.values) <= cache.bound
+
+
 class TestCrossings:
     @pytest.mark.parametrize("n", RANKS)
     def test_weyl_element_invertible(self, n):
@@ -226,3 +292,10 @@ class TestFourStrands:
             word = tuple((rng.randint(1, 3), rng.choice([1, -1])) for _ in range(length))
             b = BraidWord(4, word)
             assert eval_spin_symbolic(b, n) == eval_spin(b, n), word
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_all_words_up_to_length_four(self, n):
+        matrix = sweep_raw_traces(4, n, 4)
+        assert len(matrix) == 1555
+        mismatches = [w for w, want in matrix.items() if eval_spin_symbolic(BraidWord(4, w), n) != want]
+        assert not mismatches
