@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import xcalc
+from . import schur, xcalc
 from .qalg import GradedScalar, appendixA_suite
 from .spinpoly import BraidParseError, BraidWord, eval_spin, parse_braid
 
@@ -43,15 +43,11 @@ def _emit_report(report: list[dict], fmt: str) -> bool:
 # -- verification suites ---------------------------------------------------------
 
 
-def _suite_qalg(args):
-    return [lambda: appendixA_suite(args.bound)]
+def _suite_qalg(args) -> list[dict]:
+    return appendixA_suite(args.bound)
 
 
-def _suite_rep(args):
-    return [(lambda n=n: _rep_one(n)) for n in range(1, args.n + 1)]
-
-
-def _rep_one(n: int) -> list[dict]:
+def _suite_rep(args) -> list[dict]:
     from . import rep
 
     items = []
@@ -59,65 +55,60 @@ def _rep_one(n: int) -> list[dict]:
     def entry(name, ok):
         items.append({"identity_id": name, "parameters": {"n": n}, "status": "pass" if ok else "fail"})
 
-    idS = rep.LinOp.identity(("S",), n)
-    cup, cap = rep.cup_n(n), rep.cap_n(n)
-    entry("snake-identities", (cap.tensor(idS) @ idS.tensor(cup)) == idS
-          and (idS.tensor(cap) @ cup.tensor(idS)) == idS)
-    entry("circle-value", (cap @ cup).entry((), ()) == rep.RatFunc.from_poly(rep.circle_value(n)))
-    entry("cupcap-intertwiners", rep.is_intertwiner(cup, n) and rep.is_intertwiner(cap, n))
-    entry("trivalent-intertwiner", rep.is_intertwiner(rep.Y1(n), n))
-    entry("h-intertwiner", rep.is_intertwiner(rep.H(n), n))
-    ok = True
-    for i in range(0, n + 1):
-        J = (1 << i) - 1
-        K = ((1 << n) - 1) ^ J
-        col = rep.lusztig_T_w0(n).cols.get((J,), {})
-        ok = ok and col == {(K,): rep.RatFunc.from_poly(rep.qJ(K, n))}
-    entry("longest-weyl-on-flags", ok)
+    for n in range(1, args.n + 1):
+        idS = rep.LinOp.identity(("S",), n)
+        cup, cap = rep.cup_n(n), rep.cap_n(n)
+        entry("snake-identities", (cap.tensor(idS) @ idS.tensor(cup)) == idS
+              and (idS.tensor(cap) @ cup.tensor(idS)) == idS)
+        entry("circle-value", (cap @ cup).entry((), ()) == rep.RatFunc.from_poly(rep.circle_value(n)))
+        entry("cupcap-intertwiners", rep.is_intertwiner(cup, n) and rep.is_intertwiner(cap, n))
+        entry("trivalent-intertwiner", rep.is_intertwiner(rep.Y1(n), n))
+        entry("h-intertwiner", rep.is_intertwiner(rep.H(n), n))
+        ok = True
+        for i in range(0, n + 1):
+            J = (1 << i) - 1
+            K = ((1 << n) - 1) ^ J
+            col = rep.lusztig_T_w0(n).cols.get((J,), {})
+            ok = ok and col == {(K,): rep.RatFunc.from_poly(rep.qJ(K, n))}
+        entry("longest-weyl-on-flags", ok)
     return items
 
 
-def _suite_clifford(args):
-    return [(lambda n=n: _clifford_one(n)) for n in range(1, args.n + 1)]
-
-
-def _clifford_one(n: int) -> list[dict]:
+def _suite_clifford(args) -> list[dict]:
     from . import clifford, rep
 
-    action_ok = all(
-        clifford.qgrp_via_clifford(kind, i, n) == rep.spin_action(kind, i, n)
-        for kind in ("e", "f", "k", "k_inv")
-        for i in range(1, n + 1)
-    )
-    c_ok = clifford.wenzl_C(n) == rep.H(n)
-    return [
-        {"identity_id": "clifford-action-matches", "parameters": {"n": n},
-         "status": "pass" if action_ok else "fail"},
-        {"identity_id": "wenzl-c-equals-h", "parameters": {"n": n},
-         "status": "pass" if c_ok else "fail"},
-    ]
-
-
-def _suite_xcalc(args):
     items = []
     for n in range(1, args.n + 1):
-        items.append(lambda n=n: xcalc.change_of_basis_check(n, exact_rank=args.exact_rank))
-        items.append(lambda n=n: xcalc.relation_suite(n))
+        action_ok = all(
+            clifford.qgrp_via_clifford(kind, i, n) == rep.spin_action(kind, i, n)
+            for kind in ("e", "f", "k", "k_inv")
+            for i in range(1, n + 1)
+        )
+        c_ok = clifford.wenzl_C(n) == rep.H(n)
+        items += [
+            {"identity_id": "clifford-action-matches", "parameters": {"n": n},
+             "status": "pass" if action_ok else "fail"},
+            {"identity_id": "wenzl-c-equals-h", "parameters": {"n": n},
+             "status": "pass" if c_ok else "fail"},
+        ]
     return items
 
 
-def _suite_iq(args):
-    return [lambda: _iq_all()]
+def _suite_xcalc(args) -> list[dict]:
+    items = []
+    for n in range(1, args.n + 1):
+        items += xcalc.change_of_basis_check(n, exact_rank=args.exact_rank)
+        items += xcalc.relation_suite(n)
+    return items
 
 
-def _iq_all() -> list[dict]:
+def _suite_iq(args) -> list[dict]:
     from . import iqsym
 
     return iqsym.gk_ops(3)
 
 
-def _suite_schur_inner(args) -> list[dict]:
-    from . import schur
+def _suite_schur(args) -> list[dict]:
     from .qalg import RatFunc, qbinom
 
     report = []
@@ -161,12 +152,8 @@ def _suite_schur_inner(args) -> list[dict]:
     return report
 
 
-def _suite_schur(args):
-    return [lambda: _suite_schur_inner(args)]
-
-
-def _suite_conjectures(args):
-    return [lambda: xcalc.relation_suite(args.n, probe=True)]
+def _suite_conjectures(args) -> list[dict]:
+    return xcalc.relation_suite(args.n, probe=True)
 
 
 _SUITES = {
@@ -187,7 +174,7 @@ def _dump_operator(name: str, n: int):
     from . import clifford, rep
 
     lname = name.lower()
-    if lname in ("h",):
+    if lname == "h":
         return rep.H(n)
     if lname == "wenzl-c":
         return clifford.wenzl_C(n)
@@ -204,9 +191,8 @@ def _dump_operator(name: str, n: int):
         return rep.cap_n(n)
     if lname == "y1":
         return rep.Y1(n)
-    if lname[0] in "efk" and lname[1:].isdigit():
-        kind = {"e": "e", "f": "f", "k": "k"}[lname[0]]
-        return rep.spin_action(kind, int(lname[1:]), n)
+    if lname[:1] in ("e", "f", "k") and lname[1:].isdigit():
+        return rep.spin_action(lname[0], int(lname[1:]), n)
     if lname.startswith("t") and lname[1:].isdigit():
         return rep.lusztig_T(int(lname[1:]), n)
     raise ValueError(f"unknown operator {name!r}")
@@ -250,7 +236,7 @@ def main(argv: list[str] | None = None) -> int:
 
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
-    verify.add_argument("--bound", type=int, default=10, help="parameter bound (qalg)")
+    verify.add_argument("--bound", type=_positive, default=10, help="parameter bound (qalg)")
     verify.add_argument("--n", type=_positive, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
     verify.add_argument("--exact-rank", action="store_true", help="use fraction-free elimination for ranks")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -270,20 +256,13 @@ def main(argv: list[str] | None = None) -> int:
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "poly" and args.flavor == "sln":
-            from .schur import AnnularDepthError, eval_slN
-
             braid = parse_braid(args.braid, args.strands)
             colors = tuple(int(c) for c in args.colors.split(",") if c.strip() != "")
-            try:
-                value = eval_slN(braid, colors, args.N)
-            except AnnularDepthError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            value = schur.eval_slN(braid, colors, args.N)
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "verify":
-            report = [e for run in _SUITES[args.suite](args) for e in run()]
-            ok = _emit_report(report, args.format)
+            ok = _emit_report(_SUITES[args.suite](args), args.format)
             if args.suite == "conjectures":
                 return 0  # probes never gate
             return 0 if ok else 1
@@ -294,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except BraidParseError as exc:
         print(f"braid parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, schur.AnnularDepthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:

@@ -198,10 +198,6 @@ class LaurentPoly:
 
     # -- printing / serialization ----------------------------------------
 
-    def q_terms(self) -> list[tuple[Fraction, Fraction]]:
-        """Sorted (q-exponent, coefficient) pairs, exponents may be half-integral."""
-        return [(Fraction(e, 2), Fraction(c)) for e, c in sorted(self.c.items())]
-
     def __str__(self) -> str:
         if not self.c:
             return "0"
@@ -565,9 +561,6 @@ class GradedScalar:
     def bar(self) -> "GradedScalar":
         """q -> q^{-1}."""
         return GradedScalar(-self.offset, self.body.bar())
-
-    def q_shift(self, r: Fraction | int) -> "GradedScalar":
-        return GradedScalar(self.offset + Fraction(r), self.body)
 
     def json_terms(self) -> list[list[int]]:
         """Numerator terms as [exp_num, exp_den, coeff_num, coeff_den] with the

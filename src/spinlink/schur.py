@@ -15,8 +15,9 @@ Kamnitzer-Morrison): (x)_j Lambda_q^{a_j}(C^N) is the weight-a space of the
 U_q(gl_m)-module (Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse
 operator, and the pairing is the quantum trace of their product.  The
 operator commutes with U_q(gl_N), so only states of dominant gl_N weight
-are propagated, each weighted with its Weyl-orbit sum.  The cost is linear
-in the crossings.
+are propagated, each weighted with its Weyl-orbit sum.  The trace is taken
+by the dominant-state kernel shared with the spin route
+(spinpoly.weighted_trace); the cost is linear in the crossings.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, RatFunc, qbinom
-from .spinpoly import BraidWord
+from .spinpoly import BraidWord, weighted_trace
 
 GlWeight = tuple[int, ...]
 Letter = tuple[str, int, int]  # ("E"|"F", color, power >= 1)
@@ -346,16 +347,17 @@ class _Crossing:
             self.terms.append((powers.get("E", 0), powers.get("F", 0), coeff))
         self.images: dict[tuple[int, int], dict[tuple[int, int], LaurentPoly]] = {}
 
-    def image(self, u: int, w: int) -> dict[tuple[int, int], LaurentPoly]:
-        img = self.images.get((u, w))
+    def image(self, pair: tuple[int, int]) -> dict[tuple[int, int], LaurentPoly]:
+        img = self.images.get(pair)
         if img is None:
+            u, w = pair
             acc: dict[tuple[int, int], LaurentPoly] = {}
             for e, f, coeff in self.terms:
                 for (u1, w1), x in _divided_power("E", e, u, w, self.N).items():
-                    for pair, y in _divided_power("F", f, u1, w1, self.N).items():
+                    for out, y in _divided_power("F", f, u1, w1, self.N).items():
                         term = coeff.shift(2 * (x + y))
-                        acc[pair] = acc[pair] + term if pair in acc else term
-            img = self.images[(u, w)] = {pair: c for pair, c in acc.items() if c}
+                        acc[out] = acc[out] + term if out in acc else term
+            img = self.images[pair] = {out: c for out, c in acc.items() if c}
         return img
 
 
@@ -411,53 +413,17 @@ def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], Lauren
     return tuple(states)
 
 
-def _apply_crossing(op: _Crossing, vec: dict, i: int) -> dict:
-    """One crossing on strands i, i+1 applied to a sparse vector of states.
-    Coefficients are kept as {v-exponent: int} and multiplied in place."""
-    new: dict = {}
-    for key, coeff in vec.items():
-        head, tail, terms = key[: i - 1], key[i + 1 :], coeff.items()
-        for pair, c in op.image(key[i - 1], key[i]).items():
-            acc = new.setdefault(head + pair + tail, {})
-            for e1, c1 in c.c.items():
-                for e2, c2 in terms:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    out = {}
-    for key, acc in new.items():
-        acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            out[key] = acc
-    return out
-
-
 def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
-    """The quantum trace of the braid's operator on the weight-a space: the
-    diagonal entry of every dominant start state, weighted with its orbit
-    weight (the operator commutes with U_q(gl_N), so the trace on a gl_N
-    weight space is S_N-invariant).  The first letter acts first."""
-    ops = []
+    """The quantum trace of the braid's operator on the weight-a space, by the
+    dominant-state kernel of spinpoly (the operator commutes with U_q(gl_N),
+    so the trace on a gl_N weight space is S_N-invariant).  The first letter
+    acts first."""
+    crossings = []
     cur = list(a)
     for i, sign in braid.letters:
-        ops.append((i, _crossing(N, cur[i - 1], cur[i], sign)))
+        crossings.append((i, _crossing(N, cur[i - 1], cur[i], sign).image))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    states = _dominant_states(a, N)
-    if not ops:
-        return sum((weight for _, weight in states), LaurentPoly.zero())
-    total = LaurentPoly.zero()
-    for start, weight in states:
-        vec = {start: {0: 1}}
-        for i, op in ops[:-1]:
-            vec = _apply_crossing(op, vec, i)
-        # the closing crossing: only the entry that lands on start
-        i, op = ops[-1]
-        outside = start[: i - 1] + start[i + 1 :]
-        target = (start[i - 1], start[i])
-        for key, coeff in vec.items():
-            if key[: i - 1] + key[i + 1 :] == outside:
-                c = op.image(key[i - 1], key[i]).get(target)
-                if c is not None:
-                    total = total + c * LaurentPoly(coeff) * weight
-    return total
+    return weighted_trace(crossings, _dominant_states(a, N))
 
 
 def _annular_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
@@ -498,8 +464,10 @@ def _colored(braid: BraidWord, colors: GlWeight, N: int, pairing) -> GradedScala
     colors = tuple(colors)
     if len(colors) != braid.strands:
         raise ValueError("one color per strand required")
+    if min(colors) < 0:
+        raise ValueError(f"colors must be >= 0, got {colors}")
     if not weight_alive(colors, N):
-        return GradedScalar.zero()
+        return GradedScalar.zero()  # Lambda^c(C^N) = 0 for c > N
     perm = braid.permutation()
     if any(colors[perm[j]] != colors[j] for j in range(braid.strands)):
         raise ValueError("braid is not balanced for this coloring")

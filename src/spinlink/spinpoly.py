@@ -18,7 +18,9 @@ depend on the column.  Hence
 
 and only the dominant-weight columns are propagated (40 of 512 for three
 strands at n = 3).  The last crossing of a word is not applied in full: only
-the diagonal entry of its image is read off.  Three normalizations are
+the diagonal entry of its image is read off.  This dominant-state trace
+kernel (crossing_step, closing_diagonal, weighted_trace) also takes the
+trace of schur's sl_N weight-space route.  Three normalizations are
 exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
@@ -170,45 +172,64 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
     return {column: orbit_sum[wt] for column, wt in dominant.items()}
 
 
-@lru_cache(maxsize=8)
-def _crossing_rows(n: int, sign: int) -> dict:
-    """The rows of _crossing_data(n, sign): (c, d) -> [((a, b), LaurentPoly)]."""
-    rows: dict = {}
-    for ab, img in _crossing_data(n, sign)[0].items():
-        for cd, val in img.items():
-            rows.setdefault(cd, []).append((ab, val))
-    return rows
+# -- the dominant-state trace kernel, shared with schur's weight-space route -------
+#
+# A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
+# is the {pair': LaurentPoly} image of the pair on those strands (None or empty
+# if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
+# are accumulated in place, and a LaurentPoly is built only for the diagonal.
 
 
-def _apply(cols: dict, vec: dict[tuple, LaurentPoly], i: int) -> dict[tuple, LaurentPoly]:
-    """One crossing on strands i, i+1 applied to a sparse vector of columns."""
-    new: dict[tuple, LaurentPoly] = {}
+def crossing_step(vec: dict, i: int, image) -> dict:
+    """One crossing on strands i, i+1 applied to a sparse vector of states."""
+    new: dict = {}
     for key, coeff in vec.items():
-        img = cols.get((key[i - 1], key[i]))
+        img = image(key[i - 1 : i + 1])
         if not img:
             continue
-        for (c, d), val in img.items():
-            nk = key[: i - 1] + (c, d) + key[i + 1 :]
-            s = new.get(nk)
-            prod = coeff * val
-            s = prod if s is None else s + prod
-            if s:
-                new[nk] = s
-            else:
-                del new[nk]
-    return new
+        head, tail, terms = key[: i - 1], key[i + 1 :], coeff.items()
+        for pair, c in img.items():
+            acc = new.setdefault(head + pair + tail, {})
+            for e1, c1 in c.c.items():
+                for e2, c2 in terms:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    out = {}
+    for key, acc in new.items():
+        acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            out[key] = acc
+    return out
 
 
-def _closing_entry(rows: dict, vec: dict[tuple, LaurentPoly], i: int, column: tuple) -> LaurentPoly:
-    """The entry at `column` of _apply(cols, vec, i), read off the rows
-    without building the rest of the vector: the last crossing of a word
-    only feeds the diagonal."""
-    head, tail = column[: i - 1], column[i + 1 :]
+def closing_diagonal(vec: dict, i: int, image, start: tuple) -> LaurentPoly:
+    """The entry at `start` of crossing_step(vec, i, image), read off without
+    building the rest of the vector: the last crossing of a word only feeds
+    the diagonal, so only the keys that agree with start outside strands i,
+    i+1 are looked up, each at its image entry on start's pair."""
+    head, tail, target = start[: i - 1], start[i + 1 :], start[i - 1 : i + 1]
+    acc: dict = {}
+    for key, coeff in vec.items():
+        if key[: i - 1] == head and key[i + 1 :] == tail:
+            c = (image(key[i - 1 : i + 1]) or {}).get(target)
+            if c is not None:
+                for e1, c1 in c.c.items():
+                    for e2, c2 in coeff.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(acc)
+
+
+def weighted_trace(crossings: list, states) -> LaurentPoly:
+    """The sum over (start, weight) in states of weight times the diagonal
+    entry at start of the crossings' product; the first crossing acts first."""
+    if not crossings:
+        return sum((weight for _, weight in states), LaurentPoly.zero())
+    *body, (i, image) = crossings
     total = LaurentPoly.zero()
-    for (a, b), val in rows.get(column[i - 1 : i + 1], ()):
-        coeff = vec.get(head + (a, b) + tail)
-        if coeff is not None:
-            total = total + coeff * val
+    for start, weight in states:
+        vec = {start: {0: 1}}
+        for j, img in body:
+            vec = crossing_step(vec, j, img)
+        total = total + closing_diagonal(vec, i, image, start) * weight
     return total
 
 
@@ -217,30 +238,13 @@ def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
     start column, weighted with its orbit closure sum."""
     m = braid.strands
     weights = _orbit_closure(n, m)
-    den = LaurentPoly.one()
-    if braid.letters:  # the crossing data is only built when a word needs it
-        cols, dens, rows = {}, {}, {}
-        for s in (1, -1):
-            cols[s], dens[s] = _crossing_data(n, s)
-            rows[s] = _crossing_rows(n, s)
-        den = math.prod((dens[sign] for _, sign in braid.letters), start=den)
-
+    # the crossing data is only built when a word needs it
+    data = {s: _crossing_data(n, s) for s in (1, -1)} if braid.letters else {}
+    den = math.prod((data[sign][1] for _, sign in braid.letters), start=LaurentPoly.one())
     # operator product in word order: the rightmost letter acts first
-    todo = list(reversed(braid.letters))
-    total = LaurentPoly.zero()
-    for column in _tuples(1 << n, m):
-        w = weights.get(column)
-        if w is None:
-            continue
-        vec: dict[tuple, LaurentPoly] = {column: LaurentPoly.one()}
-        for i, sign in todo[:-1]:
-            vec = _apply(cols[sign], vec, i)
-        if todo:
-            i, sign = todo[-1]
-            total = total + _closing_entry(rows[sign], vec, i, column) * w
-        else:
-            total = total + w
-    return GradedScalar(0, RatFunc(total, den))
+    crossings = [(i, data[sign][0].get) for i, sign in reversed(braid.letters)]
+    states = ((column, weights[column]) for column in _tuples(1 << n, m) if column in weights)
+    return GradedScalar(0, RatFunc(weighted_trace(crossings, states), den))
 
 
 def stabilization_factor(n: int) -> GradedScalar:
@@ -304,28 +308,29 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
     weights = _orbit_closure(n, m)
-    cols, dens, rows = {}, {}, {}
+    images, dens = {}, {}
     for s in (1, -1):
-        cols[s], dens[s] = _crossing_data(n, s)
-        rows[s] = _crossing_rows(n, s)
+        cols, dens[s] = _crossing_data(n, s)
+        images[s] = cols.get
 
     totals: dict[tuple, LaurentPoly] = {}
     for column in _tuples(1 << n, m):
         w = weights.get(column)
         if w is None:
             continue
-        stack = [((), {column: LaurentPoly.one()})]
+        stack = [((), {column: {0: 1}})]
         while stack:
             word, vec = stack.pop()
-            totals[word] = totals.get(word, LaurentPoly.zero()) + vec.get(column, LaurentPoly.zero()) * w
+            diag = LaurentPoly(vec.get(column))
+            totals[word] = totals.get(word, LaurentPoly.zero()) + diag * w
             if len(word) == max_len:
                 continue
             for i, sign in gens:
                 child = ((i, sign),) + word
                 if len(child) < max_len:
-                    stack.append((child, _apply(cols[sign], vec, i)))
+                    stack.append((child, crossing_step(vec, i, images[sign])))
                 else:
-                    diag = _closing_entry(rows[sign], vec, i, column)
+                    diag = closing_diagonal(vec, i, images[sign], column)
                     totals[child] = totals.get(child, LaurentPoly.zero()) + diag * w
 
     one = LaurentPoly.one()

@@ -563,7 +563,7 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
     x2 = [ScaledOp.lift(fam[k].embed(1, 0)) for k in range(n + 1)]
     zero3 = ScaledOp(LinOp.zero(("S",) * 3, ("S",) * 3, n))
 
-    def emb(outer, middle):
+    def emb(outer):
         def op_of(sym, p):
             if p > n:
                 return None
@@ -573,7 +573,7 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
 
     ok_all, witness = True, None
     for outer in (1, 2):
-        op_of = emb(outer, 3 - outer)
+        op_of = emb(outer)
         prefix_key, prefix = None, None
         for (a, b, c), rhs_terms in sorted(relation_table(n).items()):
             lo, lm = op_of("O", a), op_of("M", b)

@@ -64,6 +64,11 @@ class TestPolySln:
         assert code == 0
         assert out.strip() == "q^4 + q^2 + 2 + q^-2 + q^-4"
 
+    def test_negative_color_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "poly", "sln", "--N", "3", "--colors=-1,-1", "--braid", "1 1")
+        assert code == 2
+        assert out == "" and err.startswith("error: colors must be >= 0") and "Traceback" not in err
+
     def test_offset_in_json(self, capsys):
         code, out, _ = run(
             capsys, "poly", "sln", "--N", "3", "--colors", "1,1", "--braid", "s1", "--format", "json"
@@ -152,6 +157,8 @@ class TestInputValidation:
             ("verify", "xcalc", "--n", "0"),
             ("poly", "spin", "--n", "0", "--braid", "s1"),
             ("poly", "spin", "--n", "two", "--braid", "s1"),
+            ("verify", "qalg", "--bound", "0"),
+            ("verify", "qalg", "--bound", "-3"),
         ),
     )
     def test_rank_below_one_is_usage_error(self, capsys, argv):
@@ -176,10 +183,11 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "argument --strands: must be an integer >= 1" in err and "Traceback" not in err
 
-    def test_negative_x_index(self, capsys):
-        code, out, err = run(capsys, "dump", "x-1", "--n", "1")
+    @pytest.mark.parametrize("name", ("x-1", ""), ids=("x-1", "empty"))
+    def test_negative_x_index(self, capsys, name):
+        code, out, err = run(capsys, "dump", name, "--n", "1")
         assert code == 2
-        assert out == "" and "unknown operator 'x-1'" in err
+        assert out == "" and f"unknown operator {name!r}" in err
 
     def test_x_index_above_rank_is_zero(self, capsys):
         code, out, _ = run(capsys, "dump", "x9", "--n", "1")

@@ -308,6 +308,20 @@ class TestWeightSpaceRoute:
             for c in (1, 2):
                 assert eval_slN(b, (c, c, c), N) == eval_slN_annular(b, (c, c, c), N), (b.letters, N, c)
 
+    @pytest.mark.parametrize("N", (2, 3))
+    def test_equals_annular_on_four_strands(self, N):
+        # sigma_1 leaves the kernel's head slice empty, sigma_3 its tail slice,
+        # and sigma_2 leaves neither empty
+        for b in _all_words(4, 3):
+            assert eval_slN(b, (1, 1, 1, 1), N) == eval_slN_annular(b, (1, 1, 1, 1), N), (b.letters, N)
+
+    @pytest.mark.parametrize("route", (eval_slN, eval_slN_annular))
+    def test_negative_color_is_an_error(self, route):
+        with pytest.raises(ValueError, match="colors must be >= 0"):
+            route(parse_braid("1 1", 2), (-1, -1), 3)
+        # Lambda^c(C^N) = 0 above N: a valid color with value 0
+        assert route(parse_braid("1 1", 2), (4, 4), 3) == GradedScalar.zero()
+
     def test_witness_table(self):
         # braids whose closures the annular route got wrong before the EF
         # binomial was extended to negative tops

@@ -10,10 +10,10 @@ from spinlink.rep import circle_value
 from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
-    _apply,
     _crossing_data,
     _mu_monomials,
     _raw_trace,
+    crossing_step,
     eval_spin,
     markov_suite,
     parse_braid,
@@ -128,10 +128,10 @@ def _all_column_diagonals(braid, n):
     neg_cols, _ = _crossing_data(n, -1)
     diags = {}
     for column in itertools.product(range(1 << n), repeat=braid.strands):
-        vec = {column: LaurentPoly.one()}
+        vec = {column: {0: 1}}
         for i, sign in reversed(braid.letters):
-            vec = _apply(pos_cols if sign > 0 else neg_cols, vec, i)
-        diags[column] = vec.get(column, LaurentPoly.zero())
+            vec = crossing_step(vec, i, (pos_cols if sign > 0 else neg_cols).get)
+        diags[column] = LaurentPoly(vec.get(column))
     return diags
 
 
