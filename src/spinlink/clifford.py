@@ -39,7 +39,7 @@ def _sign_below(I: int, j: int) -> int:
 
 def psi(j: int, n: int) -> LinOp:
     if not 1 <= j <= n:
-        raise ValueError("index out of range")
+        raise ValueError(f"Clifford index {j} out of range for rank {n}")
     op = LinOp(n, S_SIG, S_SIG)
     bit = 1 << (j - 1)
     eps_j = (-1) ** (n - j + 1)
@@ -52,7 +52,7 @@ def psi(j: int, n: int) -> LinOp:
 
 def psi_star(j: int, n: int) -> LinOp:
     if not 1 <= j <= n:
-        raise ValueError("index out of range")
+        raise ValueError(f"Clifford index {j} out of range for rank {n}")
     op = LinOp(n, S_SIG, S_SIG)
     bit = 1 << (j - 1)
     eps_j = (-1) ** (n - j + 1)
@@ -65,7 +65,7 @@ def psi_star(j: int, n: int) -> LinOp:
 
 def omega(j: int, n: int, power: int = 1) -> LinOp:
     if not 1 <= j <= n:
-        raise ValueError("index out of range")
+        raise ValueError(f"Clifford index {j} out of range for rank {n}")
     op = LinOp(n, S_SIG, S_SIG)
     bit = 1 << (j - 1)
     for I in subset_iter(n):
@@ -86,7 +86,7 @@ def qgrp_via_clifford(kind: str, i: int, n: int) -> LinOp:
     E_i -> psi_i psi*_{i+1}, F_i -> psi_{i+1} psi*_i, K_i -> omega_i omega_{i+1}^{-1}
     for i < n, and E_n -> psi_n f, F_n -> f psi*_n, K_n -> q omega_n."""
     if not 1 <= i <= n:
-        raise ValueError("index out of range")
+        raise ValueError(f"generator index {i} out of range for rank {n}")
     if i < n:
         if kind == "e":
             return psi(i, n) @ psi_star(i + 1, n)

@@ -66,6 +66,18 @@ def weight(J: int, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(-1, 2) if J >> (i - 1) & 1 else Fraction(1, 2) for i in range(1, n + 1))
 
 
+def is_dominant(wt: tuple) -> bool:
+    """Whether a weight (in the eps basis, any scale) is dominant for
+    so(2n+1): wt_1 >= ... >= wt_n >= 0."""
+    return wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:]))
+
+
+def dominant_keys(m: int, n: int) -> list[Key]:
+    """The basis keys of S^(x)m whose total weight is dominant, in order."""
+    keys = sig_keys(("S",) * m, n)
+    return [k for k in keys if is_dominant(tuple(sum(w) for w in zip(*(weight(J, n) for J in k))))]
+
+
 def weight_V(v: int, n: int) -> tuple[Fraction, ...]:
     wt = [Fraction(0)] * n
     if v < n:
@@ -230,14 +242,18 @@ class LinOp:
                 cols[k1 + k2] = col
         return LinOp(self.n, self.dom + other.dom, self.cod + other.cod, cols)
 
-    def embed(self, left: int, right: int) -> "LinOp":
-        """id^{(x) left} (x) self (x) id^{(x) right}, all identity factors S."""
-        op = self
-        if left:
-            op = LinOp.identity(("S",) * left, self.n).tensor(op)
-        if right:
-            op = op.tensor(LinOp.identity(("S",) * right, self.n))
-        return op
+    def embed(self, left: int, right: int, keys: Iterable[Key]) -> "LinOp":
+        """The columns at keys of id^{(x) left} (x) self (x) id^{(x) right}, all
+        identity factors S, built without the rest of the operator."""
+        width = len(self.dom)
+        cols = {}
+        for k in keys:
+            col = self.cols.get(k[left : left + width])
+            if col:
+                head, tail = k[:left], k[left + width :]
+                cols[k] = {head + j + tail: v for j, v in col.items()}
+        pad = ("S",)
+        return LinOp(self.n, pad * left + self.dom + pad * right, pad * left + self.cod + pad * right, cols)
 
     # -- inspection ----------------------------------------------------------
 
@@ -380,7 +396,7 @@ def lusztig_T(i: int, n: int) -> LinOp:
     """T_i(v) = sum over a, b >= 0 with b - a = <alpha_i^vee, wt v> of
     (-q_i)^b e_i^{(a)} f_i^{(b)} v, on S."""
     if not 1 <= i <= n:
-        raise ValueError("index out of range")
+        raise ValueError(f"generator index {i} out of range for rank {n}")
     qi_exp = 2 if i < n else 1  # q_i = q^{qi_exp}
     e_op, f_op = spin_action("e", i, n), spin_action("f", i, n)
 

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2
 from .xcalc import ScaledOp, XFamily, braiding, build_X, inverse_braiding
-from .rep import complement, qJ, subset_iter
+from .rep import complement, is_dominant, qJ, subset_iter
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
         wt = tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
         if wt not in closure:
             closure[wt] = math.prod((mu[B] for B in column), start=LaurentPoly.one())
-        if wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:])):
+        if is_dominant(wt):
             dominant[column] = wt
     orbit_sum = {}
     for wt in set(dominant.values()):
@@ -304,34 +304,39 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     Words are enumerated by prepending letters, so each tree edge costs a
     single sparse application per dominant start column instead of
     re-evaluating whole words from scratch; an edge into a word of the
-    maximal length only reads off the diagonal entry.
+    maximal length only reads off the diagonal entry.  The diagonals of the
+    columns that share an orbit weight are summed first, and each word's sum
+    is multiplied by that weight once (4 weights for 40 columns at m = 3,
+    n = 3).
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
-    weights = _orbit_closure(n, m)
     images, dens = {}, {}
     for s in (1, -1):
         cols, dens[s] = _crossing_data(n, s)
         images[s] = cols.get
+    by_weight: dict[LaurentPoly, list] = {}
+    for column, w in _orbit_closure(n, m).items():
+        by_weight.setdefault(w, []).append(column)
 
+    zero = LaurentPoly.zero()
     totals: dict[tuple, LaurentPoly] = {}
-    for column in _tuples(1 << n, m):
-        w = weights.get(column)
-        if w is None:
-            continue
-        stack = [((), {column: {0: 1}})]
-        while stack:
-            word, vec = stack.pop()
-            diag = LaurentPoly(vec.get(column))
-            totals[word] = totals.get(word, LaurentPoly.zero()) + diag * w
-            if len(word) == max_len:
-                continue
-            for i, sign in gens:
-                child = ((i, sign),) + word
-                if len(child) < max_len:
-                    stack.append((child, crossing_step(vec, i, images[sign])))
-                else:
-                    diag = closing_diagonal(vec, i, images[sign], column)
-                    totals[child] = totals.get(child, LaurentPoly.zero()) + diag * w
+    for w, columns in by_weight.items():
+        sums: dict[tuple, LaurentPoly] = {}
+        for column in columns:
+            stack = [((), {column: {0: 1}})]
+            while stack:
+                word, vec = stack.pop()
+                sums[word] = sums.get(word, zero) + LaurentPoly(vec.get(column))
+                if len(word) == max_len:
+                    continue
+                for i, sign in gens:
+                    child = ((i, sign),) + word
+                    if len(child) < max_len:
+                        stack.append((child, crossing_step(vec, i, images[sign])))
+                    else:
+                        sums[child] = sums.get(child, zero) + closing_diagonal(vec, i, images[sign], column)
+        for word, total in sums.items():
+            totals[word] = totals.get(word, zero) + total * w
 
     one = LaurentPoly.one()
     return {

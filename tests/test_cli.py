@@ -147,6 +147,12 @@ class TestDump:
         code, _, err = run(capsys, "dump", "bogus", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ("t0", "t3"))
+    def test_lusztig_index_out_of_range(self, capsys, name):
+        code, out, err = run(capsys, "dump", name, "--n", "2")
+        assert code == 2
+        assert out == "" and err == f"error: generator index {name[1:]} out of range for rank 2\n"
+
 
 class TestInputValidation:
     @pytest.mark.parametrize(

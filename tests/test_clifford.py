@@ -71,6 +71,19 @@ def test_images_satisfy_ef_commutator(n):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("make", (psi, psi_star, omega), ids=("psi", "psi_star", "omega"))
+@pytest.mark.parametrize("j", (0, 3))
+def test_mode_index_out_of_range_is_named(make, j):
+    with pytest.raises(ValueError, match=f"^Clifford index {j} out of range for rank 2$"):
+        make(j, 2)
+
+
+@pytest.mark.parametrize("i", (0, 3))
+def test_generator_index_out_of_range_is_named(i):
+    with pytest.raises(ValueError, match=f"^generator index {i} out of range for rank 2$"):
+        qgrp_via_clifford("e", i, 2)
+
+
 class TestWenzlC:
     @pytest.mark.parametrize("n", RANKS)
     def test_equals_h(self, n):

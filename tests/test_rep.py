@@ -16,6 +16,8 @@ from spinlink.rep import (
     coroot_pairing,
     cup_1,
     cup_n,
+    dominant_keys,
+    is_dominant,
     is_intertwiner,
     lusztig_T,
     lusztig_T_w0,
@@ -84,6 +86,15 @@ class TestSpinAction:
         assert weight(0, 3) == (Fraction(1, 2),) * 3
         assert weight(0b111, 3) == (Fraction(-1, 2),) * 3
         assert weight(0b01, 2) == (Fraction(-1, 2), Fraction(1, 2))
+
+    def test_dominance(self):
+        assert is_dominant((Fraction(3, 2), Fraction(1, 2), Fraction(1, 2))) and is_dominant((2, 0, 0))
+        assert not is_dominant((0, 1)) and not is_dominant((1, -1)) and not is_dominant((-1,))
+
+    def test_dominant_column_counts(self):
+        # 40 of the 512 columns of S^(x)3 at n = 3: all that relation_suite compares
+        assert [len(dominant_keys(3, n)) for n in RANKS] == [4, 13, 40]
+        assert dominant_keys(3, 1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 class TestQJ:

@@ -7,7 +7,7 @@ import pytest
 from spinlink.iqsym import relation_table, trace_rule_coeff
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, qint
 from spinlink.clifford import wenzl_C
-from spinlink.rep import H, LinOp, circle_value, coproduct_action, cup_n
+from spinlink.rep import H, LinOp, S_SIG, cap_n, circle_value, coproduct_action, cup_n, sig_keys
 from spinlink.xcalc import (
     ScaledOp,
     XFamily,
@@ -194,6 +194,20 @@ class TestTraces:
             a, b = random_op(), random_op()
             assert qtrace(a @ b) == qtrace(b @ a)
 
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("m", (2, 3))
+    def test_partial_trace_is_the_cup_cap_closure(self, n, m):
+        # the dominant-column lemma needs ptrace built from cup_n and cap_n alone
+        rng = random.Random(20240917 + 10 * n + m)
+        keys = list(sig_keys(("S",) * m, n))
+        op = LinOp(n, ("S",) * m, ("S",) * m)
+        for _ in range(4 * len(keys)):
+            c = LaurentPoly.q_pow(rng.randint(-3, 3), rng.choice((-2, -1, 1, 3)))
+            op.set_entry(rng.choice(keys), rng.choice(keys), c)
+        idS, rest = LinOp.identity(S_SIG, n), LinOp.identity(("S",) * (m - 1), n)
+        closure = rest.tensor(cap_n(n)) @ op.tensor(idS) @ rest.tensor(cup_n(n))
+        assert ptrace(op) == closure
+
     @pytest.mark.parametrize("n", RANKS)
     def test_trace_rule_via_partial_closure(self, families, n):
         idS = LinOp.identity(("S",), n)
@@ -233,11 +247,41 @@ class TestSpectral:
         assert vals == [RatFunc(qint(3).scale(-1), qint(2)), RatFunc(LaurentPoly.one(), qint(2))]
 
 
+def _rotated_in_full(op: LinOp) -> LinOp:
+    """The rotation with every operator materialized: the oracle for rotate."""
+    n = op.n
+    idS, idSS = LinOp.identity(S_SIG, n), LinOp.identity(("S", "S"), n)
+    return (cap_n(n).tensor(idSS)) @ (idS.tensor(op).tensor(idS)) @ (idSS.tensor(cup_n(n)))
+
+
 class TestRotation:
     @pytest.mark.parametrize("n", RANKS)
     def test_rotation_swaps_indices(self, families, n):
+        keys = list(sig_keys(("S", "S"), n))
         for k in range(n + 1):
-            assert rotate(families[n][k]) == families[n][n - k]
+            assert rotate(families[n][k], keys) == families[n][n - k]
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_rotation_on_some_columns_is_the_full_rotation_there(self, n):
+        rng = random.Random(20240917 + n)
+        keys = list(sig_keys(("S", "S"), n))
+        op = LinOp(n, ("S", "S"), ("S", "S"))
+        for _ in range(3 * len(keys)):
+            op.set_entry(rng.choice(keys), rng.choice(keys), LaurentPoly.q_pow(rng.randint(-3, 3)))
+        full = _rotated_in_full(op)
+        assert rotate(op, keys) == full
+        some = rng.sample(keys, len(keys) // 2)
+        assert rotate(op, some).cols == {k: full.cols[k] for k in some if k in full.cols}
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_embedding_on_some_columns_is_the_tensor_embedding_there(self, families, n):
+        x = families[n][1]
+        keys = list(sig_keys(("S",) * 4, n))
+        for left in (0, 1, 2):
+            full = LinOp.identity(("S",) * left, n).tensor(x).tensor(LinOp.identity(("S",) * (2 - left), n))
+            assert x.embed(left, 2 - left, keys) == full
+            some = keys[::3]
+            assert x.embed(left, 2 - left, some).cols == {k: full.cols[k] for k in some if k in full.cols}
 
 
 class TestRelationSuite:
@@ -253,10 +297,57 @@ class TestRelationSuite:
         (coeff, word), *rest = table[(1, 1, 1)]
         table[(1, 1, 1)] = [(coeff + RatFunc.one(), word), *rest]
         monkeypatch.setattr(xcalc, "relation_table", lambda n: table)
-        report = {e["identity_id"]: e for e in relation_suite(2)}
+        restricted = relation_suite(2)
+        report = {e["identity_id"]: e for e in restricted}
         entry = report.pop("three-strand-relation-table")
         assert entry["status"] == "fail" and entry["witness"] == "pattern (1, 1, 1) outer=2"
         assert all(e["status"] == "pass" for e in report.values())
+        self._in_full(monkeypatch)
+        assert relation_suite(2) == restricted
+
+    @staticmethod
+    def _in_full(monkeypatch):
+        """Materialize every factor in full, whatever columns the suite asks
+        for: the full-operator comparison that the dominant-column lemma
+        replaces."""
+        embed = LinOp.embed
+
+        def in_full(op, left, right, keys):
+            return embed(op, left, right, sig_keys(("S",) * (left + len(op.dom) + right), op.n))
+
+        monkeypatch.setattr(LinOp, "embed", in_full)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    @pytest.mark.parametrize("probe", (False, True))
+    def test_dominant_columns_give_the_full_verdicts(self, monkeypatch, n, probe):
+        restricted = relation_suite(n, probe=probe)
+        self._in_full(monkeypatch)
+        assert relation_suite(n, probe=probe) == restricted
+
+    @pytest.mark.parametrize("probe", (False, True))
+    def test_a_non_intertwining_h_fails_every_dominant_column_check(self, monkeypatch, probe):
+        # Move the (3, 3) diagonal entry of H at n = 2 to another eigenvalue of
+        # H.  The weight (-1, -1) of (3, 3) is not dominant, and its weight
+        # space is one-dimensional, so H keeps its minimal polynomial (build_X
+        # accepts it) and its weights, but is no longer an intertwiner.
+        # The table and Serre products on the dominant columns of S^(x)3 never
+        # meet that column, so without the intertwining check they would pass.
+        from spinlink import clifford
+
+        n, wenzl_C = 2, clifford.wenzl_C
+
+        def perturbed(rank):
+            c = wenzl_C(rank)
+            if rank == n:
+                c.cols[(3, 3)] = {(3, 3): h_eigenvalues(n)[0]}
+            return c
+
+        monkeypatch.setattr(clifford, "wenzl_C", perturbed)
+        checked = {"trace-rule", "rotation-rule", "gk-serre-for-h", "three-strand-relation-table", "devils-serre"}
+        report = relation_suite(n, probe=probe)
+        failed = {e["identity_id"] for e in report if e["status"] == "fail"}
+        assert failed == {e["identity_id"] for e in report} & checked
+        assert all(e["witness"] == "H is not an intertwiner" for e in report if e["status"] == "fail")
 
     def test_shared_prefixes_bound_the_products(self, monkeypatch):
         calls = []
