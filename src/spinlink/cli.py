@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import schur, xcalc
-from .qalg import GradedScalar, appendixA_suite
+from .qalg import GradedScalar, appendixA_suite, report_entry
 from .spinpoly import BraidParseError, BraidWord, eval_spin, parse_braid
 
 
@@ -53,7 +53,7 @@ def _suite_rep(args) -> list[dict]:
     items = []
 
     def entry(name, ok):
-        items.append({"identity_id": name, "parameters": {"n": n}, "status": "pass" if ok else "fail"})
+        items.append(report_entry(name, {"n": n}, ok))
 
     for n in range(1, args.n + 1):
         idS = rep.LinOp.identity(("S",), n)
@@ -86,10 +86,8 @@ def _suite_clifford(args) -> list[dict]:
         )
         c_ok = clifford.wenzl_C(n) == rep.H(n)
         items += [
-            {"identity_id": "clifford-action-matches", "parameters": {"n": n},
-             "status": "pass" if action_ok else "fail"},
-            {"identity_id": "wenzl-c-equals-h", "parameters": {"n": n},
-             "status": "pass" if c_ok else "fail"},
+            report_entry("clifford-action-matches", {"n": n}, action_ok),
+            report_entry("wenzl-c-equals-h", {"n": n}, c_ok),
         ]
     return items
 
@@ -97,7 +95,7 @@ def _suite_clifford(args) -> list[dict]:
 def _suite_xcalc(args) -> list[dict]:
     items = []
     for n in range(1, args.n + 1):
-        items += xcalc.change_of_basis_check(n, exact_rank=args.exact_rank)
+        items += xcalc.change_of_basis_check(n)
         items += xcalc.relation_suite(n)
     return items
 
@@ -118,20 +116,12 @@ def _suite_schur(args) -> list[dict]:
             x = schur.SchurElement.idempotent((a1,), N)
             if schur.bilinear_form(x) != GradedScalar(0, RatFunc.from_poly(qbinom(N, a1))):
                 ok = False
-    report.append(
-        {"identity_id": "bilinear-base-case", "parameters": {}, "status": "pass" if ok else "fail"}
-    )
+    report.append(report_entry("bilinear-base-case", {}, ok))
     tre = parse_braid("s1 s1 s1")
     su = eval_spin(tre, 1, normalization="unframed")
     d2 = su == schur.spin1_from_jones(tre)
     d3 = schur.eval_slN(tre, (1, 1), 2) == schur.sl2_from_spin1(tre, su)
-    report.append(
-        {
-            "identity_id": "normalization-dictionary-trefoil",
-            "parameters": {},
-            "status": "pass" if (d2 and d3) else "fail",
-        }
-    )
+    report.append(report_entry("normalization-dictionary-trefoil", {}, d2 and d3))
     # production (weight spaces) against the oracle (annular evaluation)
     cases = [(parse_braid(text, m), (c,) * m, N) for text, m, N, c in schur.WITNESSES]
     letters = [(i, s) for i in (1, 2) for s in (1, -1)]
@@ -140,15 +130,13 @@ def _suite_schur(args) -> list[dict]:
             for N in (2, 3, 4):
                 cases += [(BraidWord(3, word), (c, c, c), N) for c in (1, 2)]
     same = all(schur.eval_slN(*case) == schur.eval_slN_annular(*case) for case in cases)
-    report.append(
-        {"identity_id": "weight-space-equals-annular", "parameters": {}, "status": "pass" if same else "fail"}
-    )
+    report.append(report_entry("weight-space-equals-annular", {}, same))
     # a knot's value at q = 1 is +- the dimension C(N, c) of its color
     dims = all(
         abs(schur.eval_slN(parse_braid(text, m), (c,) * m, N).body.subs_v(Fraction(1))) == math.comb(N, c)
         for text, m, N, c in schur.WITNESSES
     )
-    report.append({"identity_id": "q1-dimension", "parameters": {}, "status": "pass" if dims else "fail"})
+    report.append(report_entry("q1-dimension", {}, dims))
     return report
 
 
@@ -238,7 +226,6 @@ def main(argv: list[str] | None = None) -> int:
     verify.add_argument("suite", choices=sorted(_SUITES))
     verify.add_argument("--bound", type=_positive, default=10, help="parameter bound (qalg)")
     verify.add_argument("--n", type=_positive, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
-    verify.add_argument("--exact-rank", action="store_true", help="use fraction-free elimination for ranks")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     dump = sub.add_parser("dump", help="dump an operator as canonical JSON rows")

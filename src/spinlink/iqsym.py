@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, qint
+from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, qint, report_entry
 
 XWord = tuple[tuple[int, int], ...]
 Term = tuple[RatFunc, XWord]
@@ -623,7 +623,7 @@ def gk_ops(m: int) -> list[dict]:
     report = []
 
     def entry(name, ok, **params):
-        report.append({"identity_id": name, "parameters": params, "status": "pass" if ok else "fail"})
+        report.append(report_entry(name, params, ok))
 
     try:
         lam = gk_substitution_scalar()

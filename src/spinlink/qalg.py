@@ -782,6 +782,15 @@ def _rho_depth_bound(l: int) -> int:
     return (l - 3) // 2 + 1
 
 
+def report_entry(name: str, parameters: dict, ok: bool, witness=None) -> dict:
+    """One entry of a verification report: status "pass" or "fail", and on
+    failure the witness as a string, if there is one."""
+    entry = {"identity_id": name, "parameters": parameters, "status": "pass" if ok else "fail"}
+    if witness is not None and not ok:
+        entry["witness"] = str(witness)
+    return entry
+
+
 def appendixA_suite(bound: int = 12) -> list[dict]:
     """Verify the quantum-combinatorial identity battery up to the bound.
 
@@ -894,8 +903,5 @@ def appendixA_suite(bound: int = 12) -> list[dict]:
     report = []
     for name, fn in checks:
         ok, witness = fn()
-        entry = {"identity_id": name, "parameters": {"bound": bound}, "status": "pass" if ok else "fail"}
-        if not ok:
-            entry["witness"] = repr(witness)
-        report.append(entry)
+        report.append(report_entry(name, {"bound": bound}, ok, repr(witness)))
     return report

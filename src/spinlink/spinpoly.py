@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2
+from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, report_entry
 from .xcalc import ScaledOp, XFamily, braiding, build_X, inverse_braiding
 from .rep import complement, is_dominant, qJ, subset_iter
 
@@ -353,14 +353,8 @@ def markov_suite(braid: BraidWord, n: int) -> list[dict]:
     report = []
 
     def entry(name, ok, witness=None):
-        e = {
-            "identity_id": name,
-            "parameters": {"n": n, "strands": braid.strands, "word": list(braid.letters)},
-            "status": "pass" if ok else "fail",
-        }
-        if witness is not None and not ok:
-            e["witness"] = str(witness)
-        report.append(e)
+        params = {"n": n, "strands": braid.strands, "word": list(braid.letters)}
+        report.append(report_entry(name, params, ok, witness))
 
     base = eval_spin(braid, n)
     m = braid.strands

@@ -14,15 +14,17 @@ product formula for X^(k) as a polynomial in X), provides the braiding
 and its strand embeddings, the quantum (partial) trace, the spectral
 idempotents of H, and a battery of exact matrix identities including the
 three-strand relation tables and the trace/rotation rules, compared on
-dominant weight columns only.
+dominant weight columns only.  Each isotypic rank is the trace of a
+spectral idempotent, since over a field of characteristic 0 the rank of an
+idempotent equals its trace.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import clifford
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, poly_divexact, poly_gcd, qint
+from .qalg import (
+    GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, poly_divexact, poly_gcd, qint, report_entry,
+)
 from .rep import LinOp, S_SIG, cap_n, complement, cup_n, dominant_keys, is_intertwiner, qJ, sig_keys, subset_iter
 from .iqsym import relation_table, trace_rule_coeff
 
@@ -152,9 +154,11 @@ class XFamily:
 
 
 def _x_by_recursion(n: int, x: LinOp) -> list[LinOp]:
+    """X^(0), ..., X^(n+1) by the quadratic recursion; X^(n+1) is zero for
+    a correct H."""
     idSS = LinOp.identity(("S", "S"), n)
     ops = [idSS, x]
-    for i in range(1, n):
+    for i in range(1, n + 1):
         lead = RatFunc(LaurentPoly.const((-1) ** i), devil(i + 1, i + 1))
         drop = RatFunc.from_poly(devil(i, i + 1).scale((-1) ** i))
         nxt = ((ops[i] @ x) - ops[i].scale(drop)).scale(lead)
@@ -183,15 +187,11 @@ def build_X(n: int, check_product_route: bool = True) -> XFamily:
     h = clifford.wenzl_C(n)
     idSS = LinOp.identity(("S", "S"), n)
     x = h - idSS.scale(RatFunc(_ONE, qint(2)))
-    ops = _x_by_recursion(n, x)
+    *ops, beyond = _x_by_recursion(n, x)
     if check_product_route:
         for k in range(n + 1):
             if _x_by_product_formula(n, x, k) != ops[k]:
                 raise AssertionError(f"X^({k}) routes disagree at n={n}")
-    # one step past the top the recursion must collapse
-    lead = RatFunc(LaurentPoly.const((-1) ** n), devil(n + 1, n + 1))
-    drop = RatFunc.from_poly(devil(n, n + 1).scale((-1) ** n))
-    beyond = ((ops[n] @ x) - ops[n].scale(drop)).scale(lead)
     if not beyond.is_zero():
         raise AssertionError(f"X^({n + 1}) is nonzero at n={n}")
     return XFamily(n, ops, h)
@@ -334,91 +334,42 @@ def braid_i_coeff(n: int, i: int) -> RatFunc:
     return RatFunc(num.shift(n), d_value(i))
 
 
-def rank_of(op: LinOp, exact: bool = False) -> int:
-    """Rank over Q(q): by default the largest rank among three random rational
-    specializations; exact=True runs fraction-free elimination instead."""
-    cols = sorted(op.cols)
-    rows = sorted({j for col in op.cols.values() for j in col})
-    ridx = {r: t for t, r in enumerate(rows)}
-    if exact:
-        mat = [[op.entry(c, r) for c in cols] for r in rows]
-        return _rank_exact(mat)
-    import random
-
-    rng = random.Random(20240917)
-    ranks: list[int] = []
-    for _ in range(24):
-        v = Fraction(rng.randint(2, 40), rng.randint(1, 7))
-        try:
-            mat = [[Fraction(0)] * len(cols) for _ in rows]
-            for ci, c in enumerate(cols):
-                for r, val in op.cols[c].items():
-                    mat[ridx[r]][ci] = val.subs_v(v)
-        except ZeroDivisionError:
-            continue
-        ranks.append(_rank_fraction(mat))
-        if len(ranks) == 3:
-            break
-    if not ranks:
-        raise ArithmeticError("every sampled specialization hits a pole")
-    # a specialization at a zero of a minor can only lower the rank
-    return max(ranks)
+def rank_of(op: LinOp) -> int:
+    """The rank over Q(q) of an idempotent: its trace, the sum of its
+    diagonal entries, which must be an integer constant."""
+    trace = RatFunc.zero()
+    for k, col in op.cols.items():
+        trace = trace + col.get(k, RatFunc.zero())
+    value = trace.num.c.get(0, 0)
+    if trace != RatFunc.from_poly(LaurentPoly.const(value)) or value != int(value):
+        raise ValueError(f"the trace {trace} is not an integer constant")
+    return int(value)
 
 
-def _rank_fraction(mat: list[list[Fraction]]) -> int:
-    rank, rows, ncols = 0, len(mat), len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def _rank_exact(mat: list[list[RatFunc]]) -> int:
-    rank, rows = 0, len(mat)
-    ncols = len(mat[0]) if mat else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, rows) if not mat[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].inv()
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(rows):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        r += 1
-        rank += 1
-    return rank
-
-
-def change_of_basis_check(n: int, exact_rank: bool = False) -> list[dict]:
+def change_of_basis_check(n: int) -> list[dict]:
     """Verify the spectral decomposition against the closed coefficient
     formulas: orthogonality, the I-to-X change of basis, the braiding
-    coefficients in the I-basis, and the isotypic ranks."""
+    coefficients in the I-basis, and the isotypic ranks.
+
+    Each isotypic rank is the projector's trace (rank_of), taken only once
+    the orthogonality products have shown the projector idempotent: over a
+    field of characteristic 0 the rank of an idempotent is its trace.  If
+    build_X refuses H, the report is one failed "x-family" entry whose
+    witness is build_X's message.
+    """
     from math import comb
 
-    fam = build_X(n)
-    spec = spectral_basis(n, fam)
     report = []
 
-    def entry(name, ok, witness=None, **params):
-        e = {"identity_id": name, "parameters": {"n": n, **params}, "status": "pass" if ok else "fail"}
-        if witness is not None and not ok:
-            e["witness"] = str(witness)
-        report.append(e)
+    def entry(name, ok, witness=None):
+        report.append(report_entry(name, {"n": n}, ok, witness))
+
+    try:
+        fam = build_X(n)
+    except AssertionError as exc:
+        entry("x-family", False, exc)
+        return report
+    spec = spectral_basis(n, fam)
 
     idSS = LinOp.identity(("S", "S"), n)
     all_projs = spec.projectors + [spec.residual]
@@ -427,12 +378,14 @@ def change_of_basis_check(n: int, exact_rank: bool = False) -> list[dict]:
     # the products are taken in ScaledOp form: lifted once, no per-entry gcd
     lifted = [ScaledOp.lift(p) for p in all_projs]
     zero = ScaledOp(LinOp.zero(("S", "S"), ("S", "S"), n))
+    idempotent = []
     for a, pa in enumerate(lifted):
         total = total + all_projs[a]
         for b, pb in enumerate(lifted):
-            want = pa if a == b else zero
-            if (pa @ pb) != want:
-                ok = False
+            same = (pa @ pb) == (pa if a == b else zero)
+            if a == b:
+                idempotent.append(same)
+            ok = ok and same
     entry("projector-orthogonality", ok and total == idSS)
 
     ok = True
@@ -467,17 +420,15 @@ def change_of_basis_check(n: int, exact_rank: bool = False) -> list[dict]:
         total = total + spec.i_op(n - i).scale(braid_i_coeff(n, i))
     entry("braiding-in-i-basis", total == r)
 
-    ok = True
-    witness = None
-    for i in range(n):
-        want = comb(2 * n + 1, i)
-        got = rank_of(spec.projectors[i], exact=exact_rank)
-        if got != want:
-            ok, witness = False, (i, got, want)
-    res_want = 4**n - sum(comb(2 * n + 1, i) for i in range(n))
-    res_got = rank_of(spec.residual, exact=exact_rank)
-    if res_got != res_want:
-        ok, witness = False, ("residual", res_got, res_want)
+    ok, witness = True, None
+    sizes = [comb(2 * n + 1, i) for i in range(n)]
+    sizes.append(4**n - sum(sizes))
+    for i, (p, want, idem) in enumerate(zip(all_projs, sizes, idempotent)):
+        label = i if i < n else "residual"
+        if not idem:
+            ok, witness = False, f"projector {label} is not idempotent"
+        elif (got := rank_of(p)) != want:
+            ok, witness = False, (label, got, want)
     entry("isotypic-ranks", ok, witness)
     return report
 
@@ -538,13 +489,14 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
     """
     report = []
 
-    def entry(name, ok, witness=None, **params):
-        e = {"identity_id": name, "parameters": {"n": n, **params}, "status": "pass" if ok else "fail"}
-        if witness is not None and not ok:
-            e["witness"] = str(witness)
-        report.append(e)
+    def entry(name, ok, witness=None):
+        report.append(report_entry(name, {"n": n}, ok, witness))
 
-    fam = build_X(n, check_product_route=False)
+    try:
+        fam = build_X(n, check_product_route=False)
+    except AssertionError as exc:
+        entry("x-family", False, exc)
+        return report
     generators = (("H", fam.h), ("cup_n", cup_n(n)), ("cap_n", cap_n(n)))
     unsound = next((f"{name} is not an intertwiner" for name, op in generators if not is_intertwiner(op, n)), None)
 

@@ -1,12 +1,13 @@
 """Tests for the command-line surface."""
 
+import argparse
 import json
 
 import pytest
 
 from spinlink import schur
-from spinlink.cli import main
-from spinlink.qalg import GradedScalar
+from spinlink.cli import _SUITES, main
+from spinlink.qalg import GradedScalar, RatFunc
 from spinlink.spinpoly import eval_spin, parse_braid
 
 
@@ -130,6 +131,38 @@ class TestVerify:
     def test_conjectures_never_gate(self, capsys):
         code, out, _ = run(capsys, "verify", "conjectures", "--n", "2")
         assert code == 0
+
+    def test_a_defective_h_is_a_fail_entry_not_a_traceback(self, capsys, monkeypatch):
+        from spinlink import clifford
+
+        wenzl_C = clifford.wenzl_C
+
+        def defective(n):
+            c = wenzl_C(n)
+            if n == 2:
+                col = c.cols[(0, 1)]
+                row = next(iter(col))
+                col[row] = col[row] + RatFunc.one()
+            return c
+
+        monkeypatch.setattr(clifford, "wenzl_C", defective)
+        refused = {"identity_id": "x-family", "parameters": {"n": 2}, "status": "fail",
+                   "witness": "X^(3) is nonzero at n=2"}
+        code, out, err = run(capsys, "verify", "xcalc", "--n", "2", "--format", "json")
+        assert code == 1 and "Traceback" not in err
+        report = json.loads(out)
+        assert [e for e in report if e["status"] == "fail"] == [refused, refused]  # change of basis, relations
+        code, out, err = run(capsys, "verify", "conjectures", "--n", "2", "--format", "json")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out) == [refused]
+
+    @pytest.mark.parametrize("suite", sorted(_SUITES))
+    def test_every_entry_has_the_report_keys(self, suite):
+        for entry in _SUITES[suite](argparse.Namespace(bound=1, n=1)):
+            keys = {"identity_id", "parameters", "status"}
+            if entry["status"] == "fail":
+                keys.add("witness")
+            assert set(entry) == keys, entry
 
     def test_unknown_suite_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

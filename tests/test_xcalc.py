@@ -1,6 +1,8 @@
 """Tests for the X-operator calculus: family, braiding, traces, spectra."""
 
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,6 +22,7 @@ from spinlink.xcalc import (
     ptrace,
     qtrace,
     r_on_strands,
+    rank_of,
     relation_suite,
     rotate,
     spectral_basis,
@@ -404,38 +407,46 @@ class TestScaledOp:
 
 
 class TestRanks:
-    def test_exact_elimination_route(self):
-        # the fraction-free route must agree with specialization
-        from math import comb
+    def test_trace_is_the_isotypic_rank(self, families):
+        for n in RANKS:
+            spec = spectral_basis(n, families[n])
+            sizes = [comb(2 * n + 1, i) for i in range(n)]
+            assert [rank_of(p) for p in spec.projectors] == sizes
+            assert rank_of(spec.residual) == 4**n - sum(sizes)
 
-        from spinlink.xcalc import rank_of, spectral_basis
+    @pytest.mark.parametrize(
+        "trace",
+        (RatFunc(LaurentPoly.one(), qint(2)), RatFunc.from_poly(qint(2)), RatFunc.from_poly(LaurentPoly.const(Fraction(1, 2)))),
+        ids=("rational", "laurent", "fraction"),
+    )
+    def test_a_trace_that_is_not_an_integer_raises(self, trace):
+        op = LinOp(1, S_SIG, S_SIG)
+        op.set_entry((0,), (0,), trace)
+        with pytest.raises(ValueError, match="not an integer constant"):
+            rank_of(op)
 
-        for n in (1, 2):
-            spec = spectral_basis(n)
-            for i in range(n):
-                want = comb(2 * n + 1, i)
-                assert rank_of(spec.projectors[i], exact=True) == want
-                assert rank_of(spec.projectors[i], exact=False) == want
-
-    def test_specialization_at_a_zero_does_not_lower_the_rank(self):
-        from fractions import Fraction
-
-        from spinlink.xcalc import rank_of
-
-        # the first value rank_of samples, from its fixed seed
-        rng = random.Random(20240917)
-        v0 = Fraction(rng.randint(2, 40), rng.randint(1, 7))
-        op = LinOp(1, ("S",), ("S",))
-        op.set_entry((0,), (0,), LaurentPoly.const(1))
-        op.set_entry((1,), (1,), LaurentPoly({1: v0.denominator, 0: -v0.numerator}))
-        assert op.cols[(1,)][(1,)].subs_v(v0) == 0
-        assert rank_of(op) == 2 == rank_of(op, exact=True)
-
-    def test_agreeing_specializations_stop_after_three(self, monkeypatch):
+    def test_a_projector_that_is_not_idempotent_fails_the_ranks(self, monkeypatch):
         from spinlink import xcalc
 
-        calls = []
-        rank_fraction = xcalc._rank_fraction
-        monkeypatch.setattr(xcalc, "_rank_fraction", lambda mat: calls.append(1) or rank_fraction(mat))
-        assert xcalc.rank_of(LinOp.identity(("S",), 2)) == 4
-        assert len(calls) == 3
+        n, spectral = 2, xcalc.spectral_basis
+
+        def perturbed(rank, fam=None):
+            # Add the unit E at (row j, column k), off the diagonal, where P
+            # has an empty column j and an empty row k: P E = E P = 0, so
+            # (P + E)^2 = P, and P + E has P's trace but is not idempotent.
+            spec = spectral(rank, fam)
+            p = spec.projectors[0]
+            rows = {r for col in p.cols.values() for r in col}
+            j, k = [key for key in sig_keys(("S", "S"), rank) if key not in p.cols and key not in rows][:2]
+            p.set_entry(k, j, RatFunc.one())
+            return spec
+
+        monkeypatch.setattr(xcalc, "spectral_basis", perturbed)
+        report = {e["identity_id"]: e for e in change_of_basis_check(n)}
+        assert report["isotypic-ranks"] == {
+            "identity_id": "isotypic-ranks",
+            "parameters": {"n": n},
+            "status": "fail",
+            "witness": "projector 0 is not idempotent",
+        }
+        assert report["projector-orthogonality"]["status"] == "fail"
