@@ -17,14 +17,16 @@ devil-product coefficient).  Repeating this strand by strand evaluates
 any closed word, and hence any braid, without ever touching a matrix.
 
 Every coefficient on this route is a Laurent polynomial: the one-strand
-products, the relation-table rows, the trace-rule coefficients and the
-circle value all have denominator 1 at ranks 1-3 (the public functions
-below still return them as RatFunc).  Elements and trace values are
-therefore carried as LaurentPoly, every table entry is converted with
-as_poly() (which raises on an entry that is not Laurent), and only the
-final trace is wrapped as a GradedScalar.  Trace values are interned, and a
-trace sum adds up the coefficients of all words sharing one value before
-multiplying, once per distinct value.
+products, the relation-table rows, the trace-rule coefficients, the
+product polynomial of X^(k) and the circle value (rep.circle_value) all
+have denominator 1 at ranks 1-3, and each table stores them as LaurentPoly
+at its source (an entry computed over Q(q) is converted once with
+as_poly(), which raises on an entry that is not Laurent).  Elements and
+trace values are carried as LaurentPoly, and only the final trace is
+wrapped as a GradedScalar.  Trace values are interned, and a trace sum adds
+up the coefficients of all words sharing one value before multiplying,
+once per distinct value.  The operator side (xcalc) evaluates the same
+X^(k) polynomial on matrices, so the matrix recursion checks it.
 
 The relation tables are stored as data.  The rank-3 table consists of the
 Serre-type base relation, the (a,1,c), (a,2,c), (a,3,c) power rows and
@@ -39,10 +41,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, qint, report_entry
+from .qalg import (
+    GradedScalar, LaurentPoly, RatFunc, _accumulate, _add_terms, _add_to, _concat_terms, binom2, devil, qint,
+    report_entry,
+)
+from .rep import circle_value
 
 XWord = tuple[tuple[int, int], ...]
-Term = tuple[RatFunc, XWord]
+Term = tuple[LaurentPoly, tuple]  # a relation-table row term: coefficient, pattern word
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -53,13 +59,8 @@ _R_ONE = RatFunc.one()
 TRACE_CACHE_MAX = 200_000
 
 
-def circle_scalar(n: int) -> RatFunc:
-    """(-1)^{C(n+1,2)} prod (q^{2i-1} + q^{1-2i}): the closed unknotted strand."""
-    return RatFunc.from_poly(d_value(n).scale((-1) ** binom2(n + 1)))
-
-
 @lru_cache(maxsize=64)
-def trace_rule_coeff(n: int, k: int) -> RatFunc:
+def trace_rule_coeff(n: int, k: int) -> LaurentPoly:
     """Coefficient picked up when the top-strand letter X^(k) is closed off:
     (-1)^{n(k+1)+C(n-k,2)} prod_{t=1}^{n-k} "[n+1-t][n+t]" / "[t]^2"."""
     if not 0 <= k <= n:
@@ -68,19 +69,19 @@ def trace_rule_coeff(n: int, k: int) -> RatFunc:
     out = RatFunc.from_poly(LaurentPoly.const(sign))
     for t in range(1, n - k + 1):
         out = out * RatFunc(devil(n + 1 - t, n + t), devil(t, t))
-    return out
+    return out.as_poly()
 
 
 # -- one-strand algebra ---------------------------------------------------------
 
 
 @lru_cache(maxsize=16)
-def _factor_product(k: int) -> tuple[RatFunc, ...]:
+def _factor_product(k: int) -> tuple[LaurentPoly, ...]:
     """prod_{t=0}^{k-1} (X + (-1)^{t+1} "[t][t+1]") as coefficients of 1, X, X^2, ..."""
-    coeffs = [_R_ONE]  # the constant 1
+    coeffs = [_ONE]  # the constant 1
     for t in range(k - 1, -1, -1):
-        shift = RatFunc.from_poly(devil(t, t + 1).scale((-1) ** (t + 1)))
-        nxt = [RatFunc.zero()] * (len(coeffs) + 1)
+        shift = devil(t, t + 1).scale((-1) ** (t + 1))
+        nxt = [_ZERO] * (len(coeffs) + 1)
         for d, c in enumerate(coeffs):
             nxt[d + 1] = nxt[d + 1] + c
             nxt[d] = nxt[d] + c * shift
@@ -88,19 +89,25 @@ def _factor_product(k: int) -> tuple[RatFunc, ...]:
     return tuple(coeffs)
 
 
-@lru_cache(maxsize=64)
-def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
-    """X^(k) as a polynomial in X (coefficients of 1, x, x^2, ...)."""
+def _x_lead(k: int) -> RatFunc:
+    """The leading factor (-1)^{C(k,2)} / prod_{t=1}^{k} "[t]^2" of X^(k)."""
     den = _ONE
     for t in range(1, k + 1):
         den = den * devil(t, t)
-    lead = RatFunc(LaurentPoly.const((-1) ** binom2(k)), den)
-    return tuple(c * lead for c in _factor_product(k))
+    return RatFunc(LaurentPoly.const((-1) ** binom2(k)), den)
+
+
+@lru_cache(maxsize=64)
+def _x_as_polynomial(k: int, n: int) -> tuple[RatFunc, ...]:
+    """X^(k) as a polynomial in X (coefficients of 1, x, x^2, ...)."""
+    lead = _x_lead(k)
+    return tuple(lead * c for c in _factor_product(k))
 
 
 @lru_cache(maxsize=256)
-def one_strand_product(a: int, b: int, n: int) -> tuple[RatFunc, ...]:
-    """Expansion of X^(a) X^(b) in the basis X^(0..n), on a single strand."""
+def one_strand_product(a: int, b: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
+    """The nonzero (k, coefficient) pairs of X^(a) X^(b) on a single strand,
+    in the basis X^(0..n); a coefficient with a denominator raises."""
     pa, pb = _x_as_polynomial(a, n), _x_as_polynomial(b, n)
     prod = [RatFunc.zero()] * (len(pa) + len(pb) - 1)
     for i, ci in enumerate(pa):
@@ -115,33 +122,27 @@ def one_strand_product(a: int, b: int, n: int) -> tuple[RatFunc, ...]:
         if not top.is_zero():
             for d in range(deg_m):
                 prod[len(prod) - deg_m + d] = prod[len(prod) - deg_m + d] - top * mp[d]
-    out = [RatFunc.zero()] * (n + 1)
+    out = []
     work = prod + [RatFunc.zero()] * (deg_m - len(prod))
     for k in range(n, -1, -1):
         pk = _x_as_polynomial(k, n)
-        lead = pk[k]
-        c = work[k] / lead
-        out[k] = c
+        c = work[k] / pk[k]
         if not c.is_zero():
+            out.append((k, c.as_poly()))
             for d in range(k + 1):
                 work[d] = work[d] - c * pk[d]
-    return tuple(out)
+    return tuple(reversed(out))
 
 
-def x_mult_table(n: int) -> dict[tuple[int, int], dict[int, RatFunc]]:
+def x_mult_table(n: int) -> dict[tuple[int, int], dict[int, LaurentPoly]]:
     """The full (n+1) x (n+1) multiplication table of the X^(k) letters."""
-    table = {}
-    for a in range(n + 1):
-        for b in range(n + 1):
-            row = one_strand_product(a, b, n)
-            table[(a, b)] = {k: c for k, c in enumerate(row) if not c.is_zero()}
-    return table
+    return {(a, b): dict(one_strand_product(a, b, n)) for a in range(n + 1) for b in range(n + 1)}
 
 
 # -- three-strand relation tables ------------------------------------------------
 
 
-def _base_rows() -> dict[tuple[int, int, int], list[tuple[LaurentPoly, tuple]]]:
+def _base_rows() -> dict[tuple[int, int, int], list[Term]]:
     D = devil
     one = _ONE
     two = qint(2)
@@ -219,70 +220,14 @@ def relation_table(n: int) -> dict[tuple[int, int, int], list[Term]]:
     (n <= 3): higher-power letters are set to zero."""
     if n > 3:
         raise ValueError("relation tables are only known for rank <= 3")
-    out: dict[tuple[int, int, int], list[Term]] = {}
-    for (a, b, c), terms in _base_rows().items():
-        if max(a, b, c) > n:
-            continue
-        kept: list[Term] = []
-        for coeff, word in terms:
-            if any(p > n for _, p in word):
-                continue
-            kept.append((RatFunc.from_poly(coeff), word))
-        out[(a, b, c)] = kept
-    return out
-
-
-# -- Laurent views of the tables ---------------------------------------------------
-# Rewriting reads the tables through these views.  as_poly() raises on an
-# entry with a denominator instead of computing with a wrong coefficient.
-
-
-@lru_cache(maxsize=256)
-def _one_strand_laurent(a: int, b: int, n: int) -> tuple[tuple[int, LaurentPoly], ...]:
-    """The nonzero (k, coefficient) pairs of X^(a) X^(b) on one strand."""
-    return tuple((k, c.as_poly()) for k, c in enumerate(one_strand_product(a, b, n)) if not c.is_zero())
-
-
-@lru_cache(maxsize=8)
-def _relation_laurent(n: int) -> dict[tuple[int, int, int], tuple[tuple[LaurentPoly, tuple], ...]]:
-    """relation_table(n) with Laurent coefficients."""
-    return {pat: tuple((c.as_poly(), w) for c, w in rows) for pat, rows in relation_table(n).items()}
+    return {
+        (a, b, c): [(coeff, word) for coeff, word in terms if all(p <= n for _, p in word)]
+        for (a, b, c), terms in _base_rows().items()
+        if max(a, b, c) <= n
+    }
 
 
 # -- elements and canonicalization -----------------------------------------------
-
-
-def _add_to(terms: dict, w, c) -> None:
-    """terms[w] += c, dropping w when the sum is zero."""
-    s = terms.get(w)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    """The sum of two linear combinations of words."""
-    out = dict(a)
-    for w, c in b.items():
-        _add_to(out, w, c)
-    return out
-
-
-def _accumulate(terms: dict, w, c) -> None:
-    """terms[w] += c; a zero sum is kept (canonicalization drops it)."""
-    s = terms.get(w)
-    terms[w] = c if s is None else s + c
-
-
-def _concat_terms(a: dict, b: dict) -> dict:
-    """The product of two linear combinations, words concatenated."""
-    out: dict = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            _accumulate(out, w1 + w2, c1 * c2)
-    return out
 
 
 class AlgElement:
@@ -364,7 +309,7 @@ def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentP
             continue
         # merge adjacent letters on one strand
         i = word[p][0]
-        for k, c in _one_strand_laurent(word[p][1], word[p + 1][1], n):
+        for k, c in one_strand_product(word[p][1], word[p + 1][1], n):
             mid = ((i, k),) if k else ()
             stack.append((word[:p] + mid + word[p + 2 :], coeff * c))
     return out
@@ -429,14 +374,14 @@ def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
             mids = _occurrences(seg, t - 1)
             if not mids:
                 # the two top letters become adjacent and merge
-                for k, ck in _one_strand_laurent(a, c, n):
+                for k, ck in one_strand_product(a, c, n):
                     mid = ((t, k),) if k else ()
                     _accumulate(raw, work[:p1] + seg + mid + work[p2 + 1 :], seg_c * ck)
                 continue
             pm = mids[0]
             b = seg[pm][1]
             left, right = seg[:pm], seg[pm + 1 :]
-            rule = _relation_laurent(n).get((a, b, c))
+            rule = relation_table(n).get((a, b, c))
             if rule is None:
                 raise RuntimeError(f"relation table incomplete: no rule for pattern {(a, b, c)}")
             for rc, pattern in rule:
@@ -479,13 +424,13 @@ def _trace_word(word: XWord, m: int, n: int) -> LaurentPoly:
     occ = _occurrences(word, t)
     if m == 1:
         assert word == ()
-        val = circle_scalar(n).as_poly()
+        val = circle_value(n)
     elif not occ:
-        val = trace_rule_coeff(n, 0).as_poly() * _trace_word(word, m - 1, n)
+        val = trace_rule_coeff(n, 0) * _trace_word(word, m - 1, n)
     elif len(occ) == 1:
         p = occ[0]
         rotated = word[p + 1 :] + word[:p]
-        val = trace_rule_coeff(n, word[p][1]).as_poly() * _trace_eval_inner(
+        val = trace_rule_coeff(n, word[p][1]) * _trace_eval_inner(
             AlgElement(n, {rotated: _ONE}), m - 1, n
         )
     else:

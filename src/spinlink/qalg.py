@@ -591,6 +591,44 @@ class GradedScalar:
         return f"GradedScalar({self})"
 
 
+# -- linear combinations of words ------------------------------------------
+# A combination is a dict from a word (a tuple) to a nonzero coefficient; the
+# symbolic X-letter algebra and the idempotented Schur algebra share these.
+
+
+def _add_to(terms: dict, w, c) -> None:
+    """terms[w] += c, dropping w when the sum is zero."""
+    s = terms.get(w)
+    s = c if s is None else s + c
+    if s.is_zero():
+        terms.pop(w, None)
+    else:
+        terms[w] = s
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """The sum of two linear combinations of words."""
+    out = dict(a)
+    for w, c in b.items():
+        _add_to(out, w, c)
+    return out
+
+
+def _accumulate(terms: dict, w, c) -> None:
+    """terms[w] += c; a zero sum is kept (the caller drops it)."""
+    s = terms.get(w)
+    terms[w] = c if s is None else s + c
+
+
+def _concat_terms(a: dict, b: dict) -> dict:
+    """The product of two linear combinations, words concatenated."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _accumulate(out, w1 + w2, c1 * c2)
+    return out
+
+
 # -- quantum integers and friends -----------------------------------------
 
 

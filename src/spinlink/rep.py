@@ -16,10 +16,11 @@ short one.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .qalg import LaurentPoly, RatFunc, qint, qint_base
+from .qalg import LaurentPoly, RatFunc, binom2, d_value, qint, qint_base
 
 Key = tuple[int, ...]
 Sig = tuple[str, ...]
@@ -72,10 +73,16 @@ def is_dominant(wt: tuple) -> bool:
     return wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:]))
 
 
+def doubled_weight(key: Key, n: int) -> tuple[int, ...]:
+    """Twice the total weight of a basis key of S^(x)m: coordinate j is the
+    number of factors without j minus the number with j."""
+    return tuple(sum(-1 if J >> j & 1 else 1 for J in key) for j in range(n))
+
+
 def dominant_keys(m: int, n: int) -> list[Key]:
     """The basis keys of S^(x)m whose total weight is dominant, in order."""
-    keys = sig_keys(("S",) * m, n)
-    return [k for k in keys if is_dominant(tuple(sum(w) for w in zip(*(weight(J, n) for J in k))))]
+    keys = itertools.product(range(1 << n), repeat=m)
+    return [k for k in keys if is_dominant(doubled_weight(k, n))]
 
 
 def weight_V(v: int, n: int) -> tuple[Fraction, ...]:
@@ -474,10 +481,16 @@ def cap_n(n: int) -> LinOp:
 
 def circle_value(n: int) -> LaurentPoly:
     """(-1)^{C(n+1,2)} prod_{i=1}^n (q^{2i-1} + q^{1-2i})."""
-    from .qalg import d_value
+    return d_value(n).scale((-1) ** binom2(n + 1))
 
-    sign = (-1) ** ((n + 1) * n // 2)
-    return d_value(n).scale(sign)
+
+def closure_weight(nu: tuple[int, ...], m: int, n: int) -> LaurentPoly:
+    """The product over the m factors x_B of a basis key of S^(x)m of the
+    closure weight q^{B^c} / q^B, from the key's doubled weight nu:
+    eps^m q^{sum_j (2n-2j+1) nu_j} with eps = (-1)^{C(n+1,2)} (every sign
+    of qJ occurs once in q^{B^c} q^B)."""
+    e = sum((2 * (n - j) + 1) * x for j, x in enumerate(nu, 1))
+    return LaurentPoly.q_pow(e, (-1) ** (m * binom2(n + 1)))
 
 
 def _phi1_pairs(n: int) -> dict[tuple[int, int], RatFunc]:

@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, qbinom
+from .qalg import GradedScalar, LaurentPoly, RatFunc, _add_terms, _concat_terms, qbinom
 from .spinpoly import BraidWord, weighted_trace
 
 GlWeight = tuple[int, ...]
@@ -103,15 +103,7 @@ class SchurElement:
 
     def __add__(self, other: "SchurElement") -> "SchurElement":
         assert self.src == other.src and self.N == other.N
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return SchurElement(self.src, self.N, out)
+        return SchurElement(self.src, self.N, _add_terms(self.terms, other.terms))
 
     def scale(self, c: LaurentPoly) -> "SchurElement":
         return SchurElement(self.src, self.N, {w: v * c for w, v in self.terms.items()})
@@ -246,16 +238,7 @@ def bilinear_form(x: SchurElement, y: SchurElement | None = None) -> GradedScala
             return GradedScalar.zero()
         if x.target() != y.target():
             return GradedScalar.zero()
-        xb = x.bar()
-        prod: dict[Word, LaurentPoly] = {}
-        for w1, c1 in xb.terms.items():
-            for w2, c2 in y.terms.items():
-                w = w1 + w2
-                s = prod.get(w)
-                p = c1 * c2
-                s = p if s is None else s + p
-                prod[w] = s
-        combined = SchurElement(y.src, y.N, prod)
+        combined = SchurElement(y.src, y.N, _concat_terms(x.bar().terms, y.terms))
         return bilinear_form(combined)
     a, N = x.src, x.N
     if x.target() != a:
@@ -291,15 +274,7 @@ def c_pm(i: int, a: GlWeight, N: int, sign: int) -> SchurElement:
 def _left_multiply_c(elem: SchurElement, i: int, sign: int) -> SchurElement:
     tgt = elem.target()
     c = c_pm(i, tgt, elem.N, sign)
-    out: dict[Word, LaurentPoly] = {}
-    for w2, c2 in elem.terms.items():
-        for w1, c1 in c.terms.items():
-            w = w1 + w2
-            s = out.get(w)
-            p = c1 * c2
-            s = p if s is None else s + p
-            out[w] = s
-    return SchurElement(elem.src, elem.N, out)
+    return SchurElement(elem.src, elem.N, _concat_terms(c.terms, elem.terms))
 
 
 # -- weight-space route (production) ------------------------------------------------

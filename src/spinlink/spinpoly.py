@@ -9,9 +9,10 @@ is never materialized.
 The braid operator commutes with U_q(so_{2n+1}), so its trace on a weight
 space W_mu depends only on the Weyl orbit of mu: weight multiplicities are
 W-invariant (Jantzen, Lectures on Quantum Groups, ch. 5), and W(B_n) acts
-by signed permutations.  The closure weight of a column is a signed power
-of q, linear in the column's total weight, with a sign that does not
-depend on the column.  Hence
+by signed permutations.  The closure weight of a column (rep.closure_weight)
+is a signed power of q, linear in the column's total weight, with a sign
+that does not depend on the column, and the dominant columns are those of
+rep.dominant_keys.  Hence
 
   Tr_q = sum over columns of dominant weight mu of
          diag(column) * sum_{nu in W mu} closure(nu),
@@ -47,7 +48,7 @@ from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, report_entry
 from .xcalc import ScaledOp, XFamily, braiding, build_X, inverse_braiding
-from .rep import complement, is_dominant, qJ, subset_iter
+from .rep import closure_weight, dominant_keys, doubled_weight
 
 
 @dataclass(frozen=True)
@@ -135,32 +136,12 @@ def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
     return cols, scaled.den
 
 
-@lru_cache(maxsize=8)
-def _mu_monomials(n: int) -> dict[int, LaurentPoly]:
-    """Closure weights q^{B^c}/q^B as Laurent monomials."""
-    out = {}
-    for B in subset_iter(n):
-        num, den = qJ(complement(B, n), n), qJ(B, n)
-        ((e1, c1),) = num.c.items()
-        ((e2, c2),) = den.c.items()
-        out[B] = LaurentPoly({e1 - e2: c1 if c2 == 1 else -c1})
-    return out
-
-
 @lru_cache(maxsize=16)
 def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
     """The start columns of S^(x)m whose total weight mu is dominant
     (mu_1 >= ... >= mu_n >= 0), each mapped to sum_{nu in W mu} closure(nu).
     Weights are kept doubled (2 wt(x_B)_j = -1 if j in B else +1)."""
-    mu = _mu_monomials(n)
-    closure: dict[tuple[int, ...], LaurentPoly] = {}  # depends only on the weight
-    dominant: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for column in itertools.product(range(1 << n), repeat=m):
-        wt = tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
-        if wt not in closure:
-            closure[wt] = math.prod((mu[B] for B in column), start=LaurentPoly.one())
-        if is_dominant(wt):
-            dominant[column] = wt
+    dominant = {column: doubled_weight(column, n) for column in dominant_keys(m, n)}
     orbit_sum = {}
     for wt in set(dominant.values()):
         orbit = {
@@ -168,7 +149,7 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
             for perm in itertools.permutations(wt)
             for signs in itertools.product((1, -1), repeat=n)
         }
-        orbit_sum[wt] = sum((closure[nu] for nu in orbit), LaurentPoly.zero())
+        orbit_sum[wt] = sum((closure_weight(nu, m, n) for nu in orbit), LaurentPoly.zero())
     return {column: orbit_sum[wt] for column, wt in dominant.items()}
 
 

@@ -9,14 +9,16 @@ is a basis in which the braiding takes the form q^{n/2} sum q^{-k} X^(k).
 H is taken in the Clifford closed form C = clifford.wenzl_C(n); the
 trivalent composite rep.H is the independent route that C is checked
 against, and is not called here.  This module builds the family by two
-independent routes (iterated recursion, and evaluation of the closed
-product formula for X^(k) as a polynomial in X), provides the braiding
+independent routes (iterated recursion, and Horner evaluation at X of the
+closed product polynomial of X^(k) that the symbolic engine's one-strand
+table is built from, iqsym._factor_product), provides the braiding
 and its strand embeddings, the quantum (partial) trace, the spectral
 idempotents of H, and a battery of exact matrix identities including the
 three-strand relation tables and the trace/rotation rules, compared on
-dominant weight columns only.  Each isotypic rank is the trace of a
-spectral idempotent, since over a field of characteristic 0 the rank of an
-idempotent equals its trace.
+dominant weight columns only (rep.dominant_keys); partial traces weight
+each closed strand with rep.closure_weight.  Each isotypic rank is the
+trace of a spectral idempotent, since over a field of characteristic 0 the
+rank of an idempotent equals its trace.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ from . import clifford
 from .qalg import (
     GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, poly_divexact, poly_gcd, qint, report_entry,
 )
-from .rep import LinOp, S_SIG, cap_n, complement, cup_n, dominant_keys, is_intertwiner, qJ, sig_keys, subset_iter
-from .iqsym import relation_table, trace_rule_coeff
+from .rep import (
+    LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
+)
+from .iqsym import _factor_product, _x_lead, relation_table, trace_rule_coeff
 
 _ONE = LaurentPoly.one()
 
@@ -167,17 +171,13 @@ def _x_by_recursion(n: int, x: LinOp) -> list[LinOp]:
 
 
 def _x_by_product_formula(n: int, x: LinOp, k: int) -> LinOp:
-    """X^(k) as the closed product of linear factors in X, divided by the
-    devil-square factorials."""
+    """X^(k) from iqsym's product polynomial in X, evaluated by Horner's
+    rule and scaled once by its leading factor."""
     idSS = LinOp.identity(("S", "S"), x.n)
-    acc = idSS
-    for t in range(k - 1, -1, -1):
-        shift = devil(t, t + 1).scale((-1) ** (t + 1))
-        acc = acc @ (x + idSS.scale(RatFunc.from_poly(shift)))
-    den = _ONE
-    for t in range(1, k + 1):
-        den = den * devil(t, t)
-    return acc.scale(RatFunc(LaurentPoly.const((-1) ** binom2(k)), den))
+    acc = LinOp.zero(("S", "S"), ("S", "S"), x.n)
+    for c in reversed(_factor_product(k)):
+        acc = acc @ x + idSS.scale(c)
+    return acc.scale(_x_lead(k))
 
 
 def build_X(n: int, check_product_route: bool = True) -> XFamily:
@@ -228,7 +228,7 @@ def r_on_strands(i: int, m: int, n: int, inverse: bool = False, fam: XFamily | N
 
 def _mu_weight(B: int, n: int) -> RatFunc:
     """The closure weight q^{B^c} / q^{B} (a Laurent monomial)."""
-    return RatFunc.from_poly(qJ(complement(B, n), n)) * RatFunc(_ONE, qJ(B, n))
+    return RatFunc.from_poly(closure_weight(doubled_weight((B,), n), 1, n))
 
 
 def ptrace(op: LinOp) -> LinOp:
@@ -346,16 +346,16 @@ def rank_of(op: LinOp) -> int:
     return int(value)
 
 
-def change_of_basis_check(n: int) -> list[dict]:
+def change_of_basis_check(n: int, fam: XFamily | None = None) -> list[dict]:
     """Verify the spectral decomposition against the closed coefficient
     formulas: orthogonality, the I-to-X change of basis, the braiding
     coefficients in the I-basis, and the isotypic ranks.
 
     Each isotypic rank is the projector's trace (rank_of), taken only once
     the orthogonality products have shown the projector idempotent: over a
-    field of characteristic 0 the rank of an idempotent is its trace.  If
-    build_X refuses H, the report is one failed "x-family" entry whose
-    witness is build_X's message.
+    field of characteristic 0 the rank of an idempotent is its trace.  The
+    family is built here unless given; if build_X refuses H, the report is
+    one failed "x-family" entry whose witness is build_X's message.
     """
     from math import comb
 
@@ -365,7 +365,7 @@ def change_of_basis_check(n: int) -> list[dict]:
         report.append(report_entry(name, {"n": n}, ok, witness))
 
     try:
-        fam = build_X(n)
+        fam = fam or build_X(n)
     except AssertionError as exc:
         entry("x-family", False, exc)
         return report
@@ -457,7 +457,7 @@ def rotate(op: LinOp, keys) -> LinOp:
     return _product_on(keys, (cap_n(n), 0, 2), (op, 1, 1), (cup_n(n), 2, 0))
 
 
-def relation_suite(n: int, probe: bool = False) -> list[dict]:
+def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> list[dict]:
     """Exact verification on S^(x)3 of the three-strand relation tables, the
     Serre-type relations, the trace rule, and the rotation rule.
 
@@ -485,7 +485,8 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
 
     With probe=True (intended for n = 4) only the conjecture probes run:
     the trace rule for every k and the rotation rule, reported with
-    witnesses and no exceptions raised on failure.
+    witnesses and no exceptions raised on failure.  The X family is built
+    here unless given; a refused H is one failed "x-family" entry.
     """
     report = []
 
@@ -493,7 +494,7 @@ def relation_suite(n: int, probe: bool = False) -> list[dict]:
         report.append(report_entry(name, {"n": n}, ok, witness))
 
     try:
-        fam = build_X(n, check_product_route=False)
+        fam = fam or build_X(n, check_product_route=False)
     except AssertionError as exc:
         entry("x-family", False, exc)
         return report

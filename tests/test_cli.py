@@ -156,6 +156,25 @@ class TestVerify:
         assert code == 0 and "Traceback" not in err
         assert json.loads(out) == [refused]
 
+    def test_xcalc_one_family_per_rank(self, capsys, monkeypatch):
+        from spinlink import xcalc
+
+        built = []
+        build_X = xcalc.build_X
+        monkeypatch.setattr(xcalc, "build_X", lambda n, *args, **kw: built.append(n) or build_X(n, *args, **kw))
+        code, _, _ = run(capsys, "verify", "xcalc", "--n", "2")
+        assert code == 0 and built == [1, 2]
+
+    def test_xcalc_without_relation_tables_fails_before_any_check(self, capsys, monkeypatch):
+        from spinlink import xcalc
+
+        ran = []
+        for name in ("build_X", "change_of_basis_check", "relation_suite"):
+            monkeypatch.setattr(xcalc, name, lambda *args, name=name, **kw: ran.append(name))
+        code, out, err = run(capsys, "verify", "xcalc", "--n", "4")
+        assert code == 2 and out == "" and ran == []
+        assert "relation tables are only known for rank <= 3" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("suite", sorted(_SUITES))
     def test_every_entry_has_the_report_keys(self, suite):
         for entry in _SUITES[suite](argparse.Namespace(bound=1, n=1)):

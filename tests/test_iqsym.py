@@ -21,9 +21,9 @@ from spinlink.iqsym import (
     relation_table,
     trace_eval,
     x_mult_table,
-    circle_scalar,
 )
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, devil, qint
+from spinlink.rep import circle_value
 from spinlink.spinpoly import BraidWord, eval_spin, sweep_raw_traces
 
 RANKS = (1, 2, 3)
@@ -60,9 +60,7 @@ class TestMultTable:
     def test_top_row_absorbs(self):
         # X^(n) X^(1) = (-1)^n "[n][n+1]" X^(n)
         for n in RANKS:
-            row = one_strand_product(n, 1, n)
-            assert row[n] == RatFunc.from_poly(devil(n, n + 1).scale((-1) ** n))
-            assert all(c.is_zero() for k, c in enumerate(row) if k != n)
+            assert one_strand_product(n, 1, n) == ((n, devil(n, n + 1).scale((-1) ** n)),)
 
     @pytest.mark.parametrize("n", RANKS)
     def test_agrees_with_matrices(self, n):
@@ -141,7 +139,7 @@ class TestNormalize:
 class TestTraceEval:
     @pytest.mark.parametrize("n", RANKS)
     def test_unlinks(self, n):
-        c = circle_scalar(n)
+        c = circle_value(n)
         for m in (1, 2, 3):
             want = GradedScalar.one()
             for _ in range(m):
@@ -175,11 +173,23 @@ class TestLaurentCoefficients:
         assert e.scale(RatFunc.from_poly(qint(3))) == e.scale(qint(3))
 
     def test_non_laurent_table_entry_raises(self, monkeypatch):
+        # X^(k) as a polynomial with a denominator in every coefficient: the
+        # one-strand table refuses the product instead of storing it
         bad = RatFunc(LaurentPoly.one(), qint(2))
-        monkeypatch.setattr(iqsym, "one_strand_product", lambda a, b, n: (bad,) * (n + 1))
-        iqsym._one_strand_laurent.cache_clear()  # drop the views of the real table
-        with pytest.raises(ValueError):
+        monkeypatch.setattr(iqsym, "_x_as_polynomial", lambda k, n: (bad,) * (k + 1))
+        iqsym.one_strand_product.cache_clear()  # drop the products of the real table
+        with pytest.raises(ValueError, match="not a Laurent polynomial"):
             letters(2, (1, 1), (1, 1))
+
+    def test_tables_are_laurent_at_the_source(self):
+        for n in RANKS:
+            assert isinstance(iqsym.trace_rule_coeff(n, 0), LaurentPoly)
+            assert all(isinstance(c, LaurentPoly) for c in iqsym._factor_product(n + 1))
+            for a in range(n + 1):
+                for b in range(n + 1):
+                    assert all(isinstance(c, LaurentPoly) for _, c in one_strand_product(a, b, n))
+            for terms in relation_table(n).values():
+                assert all(isinstance(c, LaurentPoly) for c, _ in terms)
 
 
 class TestTraceSums:
@@ -211,8 +221,7 @@ class TestTraceSums:
 class TestCaches:
     def test_caches_are_bounded(self):
         for fn in (iqsym._factor_product, iqsym._x_as_polynomial, iqsym.one_strand_product,
-                   iqsym.relation_table, iqsym.trace_rule_coeff, iqsym._one_strand_laurent,
-                   iqsym._relation_laurent):
+                   iqsym.relation_table, iqsym.trace_rule_coeff):
             assert fn.cache_info().maxsize is not None
         assert iqsym._trace_cache.bound == iqsym.TRACE_CACHE_MAX
 
@@ -256,7 +265,7 @@ class TestRouteEquivalence:
 
         for n in RANKS:
             got = eval_spin_symbolic(BraidWord(2, ((1, 1),)), n)
-            want = stabilization_factor(n) * GradedScalar(0, circle_scalar(n))
+            want = stabilization_factor(n) * GradedScalar(0, circle_value(n))
             assert got == want
 
 

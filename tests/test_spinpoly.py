@@ -1,17 +1,18 @@
 """Tests for braid parsing, spin polynomial evaluation, and Markov moves."""
 
 import itertools
+import math
 import random
 
 import pytest
 
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc
-from spinlink.rep import circle_value
+from spinlink.rep import circle_value, complement, is_dominant, qJ, subset_iter
 from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
     _crossing_data,
-    _mu_monomials,
+    _orbit_closure,
     _raw_trace,
     crossing_step,
     eval_spin,
@@ -139,6 +140,36 @@ def _doubled_weight(column, n):
     return tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
 
 
+def _mu_monomials(n):
+    """The closure weight q^{B^c} / q^B of each basis vector x_B, from the cup and cap monomials."""
+    out = {}
+    for B in subset_iter(n):
+        out[B] = RatFunc(qJ(complement(B, n), n), qJ(B, n)).as_poly()
+    return out
+
+
+def _brute_force_orbit_closure(n, m):
+    """Every column of S^(x)m, its closure weight as the product of its
+    factors' weights, and for each dominant one the sum of those products
+    over the Weyl orbit of its weight."""
+    mu = _mu_monomials(n)
+    closure, dominant = {}, {}
+    for column in itertools.product(range(1 << n), repeat=m):
+        wt = _doubled_weight(column, n)
+        closure.setdefault(wt, math.prod((mu[B] for B in column), start=LaurentPoly.one()))
+        if is_dominant(wt):
+            dominant[column] = wt
+    out = {}
+    for column, wt in dominant.items():
+        orbit = {
+            tuple(s * x for s, x in zip(signs, perm))
+            for perm in itertools.permutations(wt)
+            for signs in itertools.product((1, -1), repeat=n)
+        }
+        out[column] = sum((closure[nu] for nu in orbit), LaurentPoly.zero())
+    return out
+
+
 class TestWeylOrbitReduction:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_weight_space_traces_are_weyl_invariant(self, n):
@@ -152,6 +183,11 @@ class TestWeylOrbitReduction:
                 for perm in itertools.permutations(wt):
                     for signs in itertools.product((1, -1), repeat=n):
                         assert traces[tuple(s * x for s, x in zip(signs, perm))] == tr
+
+    @pytest.mark.parametrize("n, m", list(itertools.product((1, 2, 3), (1, 2, 3))))
+    def test_orbit_closure_equals_brute_force_sum(self, n, m):
+        got, want = _orbit_closure(n, m), _brute_force_orbit_closure(n, m)
+        assert got == want and list(got) == list(want)  # same columns, same order
 
     @pytest.mark.parametrize("n, m", ((1, 3), (2, 3), (3, 3), (2, 4)))
     def test_raw_trace_equals_all_column_sum(self, n, m):

@@ -82,6 +82,20 @@ class TestProductionRoute:
         fam = build_X(4, check_product_route=True)
         assert fam[4] != fam[3] and fam[5].is_zero()
 
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_perturbed_symbolic_polynomial_is_refused(self, monkeypatch, k):
+        # the product route evaluates iqsym's polynomial of X^(k), so the
+        # matrix recursion guards the symbolic table's coefficients
+        from spinlink import iqsym, xcalc
+
+        def perturbed(j):
+            coeffs = iqsym._factor_product(j)
+            return coeffs if j != k else (coeffs[0] + LaurentPoly.one(),) + coeffs[1:]
+
+        monkeypatch.setattr(xcalc, "_factor_product", perturbed)
+        with pytest.raises(AssertionError, match=f"X\\^\\({k}\\) routes disagree at n=2"):
+            build_X(2)
+
 
 class TestOrderIndependence:
     def test_product_cost_does_not_depend_on_entry_order(self, monkeypatch):
@@ -298,7 +312,7 @@ class TestRelationSuite:
 
         table = dict(relation_table(2))  # the table is cached: change a copy
         (coeff, word), *rest = table[(1, 1, 1)]
-        table[(1, 1, 1)] = [(coeff + RatFunc.one(), word), *rest]
+        table[(1, 1, 1)] = [(coeff + LaurentPoly.one(), word), *rest]
         monkeypatch.setattr(xcalc, "relation_table", lambda n: table)
         restricted = relation_suite(2)
         report = {e["identity_id"]: e for e in restricted}
