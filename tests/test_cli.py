@@ -1,6 +1,7 @@
 """Tests for the command-line surface."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -189,7 +190,50 @@ class TestVerify:
         assert exc.value.code == 2
 
 
+# sha256 of the stdout of `spinlink dump <name> --n <k>`: golden files read these
+# rows, so a change of the operator representation must never reach them
+DUMP_DIGESTS = {
+        ("h", 1): "30e0f6a853b33860219d08ea033ce063beee579bb1e294f36ec6b436727c6a3c",
+        ("wenzl-c", 1): "30e0f6a853b33860219d08ea033ce063beee579bb1e294f36ec6b436727c6a3c",
+        ("x0", 1): "a5dda115c09c5976b17f2375dcbd9a65fd7f0e289830750f98d53f921b12bce0",
+        ("x1", 1): "0298422a6821cf6b9bdc3b753c8ce450d188100d5fb91769fd9c37ebd0ed31fe",
+        ("braiding", 1): "34a656e0166a5fccef0d9e2adf576a9f5e9035b18c69763725e3c7ca1a1cd4a7",
+        ("inverse-braiding", 1): "0bd3655ed6e778bcfcacab68c0d884618c8e9ae6c52e4490a6c95b7801a27df3",
+        ("cup", 1): "ecd8084a4e427cb779b77145b54ebaced781f0cdc07282ab274e74ef078c4a96",
+        ("cap", 1): "90606e45d6aa69aa03248173c7a76b939bcb425c7713ee0e3fa1d11ecf46edd6",
+        ("y1", 1): "43434218c028368a7a124bf07be850efab43d9c9d983515eb108774e5969000e",
+        ("e1", 1): "93c45790bd1f3ed2a165e8f74f03360ad535623364aa9db70393e1bdbd448bfb",
+        ("f1", 1): "ad6af9a69ea74f42ba868634a0d9633e22ea37400203f4fd04140d7a1b61f417",
+        ("k1", 1): "54bc333f81c78bfb0ce410af138ec7a6c9b8bcc19c82c50e2e1f3be4f1165548",
+        ("t1", 1): "85d07a477a00d5d6bdd924a051ac071968563f31f413e194b764846526bdcbd0",
+        ("h", 2): "d2f7473fe5a09c85575b3432e614161f090df0bb3fad0879a39ef0abf2127f61",
+        ("wenzl-c", 2): "d2f7473fe5a09c85575b3432e614161f090df0bb3fad0879a39ef0abf2127f61",
+        ("x0", 2): "49ed972428dae690784d351b1a425149326ce4f2b4e1be6b5da3ad95967972fb",
+        ("x1", 2): "f86717bcd68326c34a84815ae6a93c77a2e0ee2e6fa928552c0904103f3e3b45",
+        ("x2", 2): "8909e25e5ad172d51f24ae9766b436a8304d00f58b11d63969b731b5d099fb37",
+        ("braiding", 2): "0b2a5bd748a8a1e1d2ff53cc81826c78574186e670dc59188810a1263dac6039",
+        ("inverse-braiding", 2): "404b9951172daaa55257bd64c617964e693c91bb21a115ab4542077b60adb5de",
+        ("cup", 2): "084f8bca8034c12095008f20901b168eac7a3d9bfb4918678a485951eb917202",
+        ("cap", 2): "522407eeefb5976816a3e30a62038c12df868d6f6069c047f7360c84d77f0054",
+        ("y1", 2): "819947fe5d7c92c7452b7f75c19d3273a0dd8d31f70407b9f4df69c58bf2ce8c",
+        ("e1", 2): "44a7ee84b6a5c4474534f7d04d360c9f0db4cd0ec22c27efca20307fdb27cf84",
+        ("f1", 2): "c8837d078aaa609f24369b718bcfbe4941d41ac784999f3d9d684588de916385",
+        ("k1", 2): "3039d2ba23dae17e8e4dee98729f8e51f3e727685820027f5a71d7fb31203dff",
+        ("e2", 2): "ff15c0514b1b61656ab3fbb6ffeb19bc99268a923addd09be6984545a1423ac1",
+        ("f2", 2): "eaaa6328c3d413fdf8ef57ad41d24939f80aebc67bfe5ca9b1e961af1879db2d",
+        ("k2", 2): "1d67ac2d4709c57646eb72f21264e44874eec3bb4e05840c5c3536796046fb24",
+        ("t1", 2): "df28be04dea3d6a22d949d63a165197cd19195106021f2fdc18091d236463be7",
+        ("t2", 2): "6d0e138657bbc11359bd9ce65e809e7387cf70fbe926c2b29051491a9e4b0450",
+}
+
+
 class TestDump:
+    @pytest.mark.parametrize("name,n", sorted(DUMP_DIGESTS, key=lambda key: (key[1], key[0])))
+    def test_rows_are_byte_identical(self, capsys, name, n):
+        code, out, _ = run(capsys, "dump", name, "--n", str(n))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[(name, n)]
+
     def test_cup_rows(self, capsys):
         code, out, _ = run(capsys, "dump", "cup", "--n", "1")
         assert code == 0
