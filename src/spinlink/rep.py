@@ -5,8 +5,11 @@ encoded as bitmasks (bit j-1 set iff j is in J).  The vector
 representation V_1 is (2n+1)-dimensional with ordered basis
 a_1..a_n, u, b_n..b_1, encoded as integers 0..2n.
 
-All operators are sparse column maps with exact rational-function
-entries.  A LinOp knows its domain and codomain signatures (a tuple of
+All operators are sparse column maps of Laurent polynomials over one
+canonical global denominator (LinOp), the only operator type of the
+package: the intertwiners here, X^(k) and the braiding have denominator
+1, so their products, sums and comparisons never reduce a rational
+function.  A LinOp knows its domain and codomain signatures (a tuple of
 factor tags "S" or "V"), and composition/tensoring is only defined when
 signatures match up.  Conventions for the quantum group follow the
 standard Hopf structure D(e) = e (x) k + 1 (x) e, D(f) = f (x) 1 +
@@ -20,7 +23,8 @@ import itertools
 from fractions import Fraction
 from typing import Iterable
 
-from .qalg import LaurentPoly, RatFunc, binom2, d_value, qint, qint_base
+from . import qalg
+from .qalg import LaurentPoly, RatFunc, _content_and_primitive, binom2, d_value, qint, qint_base
 
 Key = tuple[int, ...]
 Sig = tuple[str, ...]
@@ -107,46 +111,99 @@ def coroot_pairing(i: int, wt: tuple[Fraction, ...], n: int) -> Fraction:
     return 2 * wt[n - 1]
 
 
-_R_ONE = RatFunc.one()
-_ZERO_POLY = LaurentPoly.zero()
+_ONE = LaurentPoly.one()
 
 
-def _den_order(den: LaurentPoly) -> tuple:
-    return tuple(sorted(den.c.items()))
+def _primitive(p: LaurentPoly) -> LaurentPoly:
+    """p without its rational content and its power of v, with a positive
+    leading coefficient: the canonical form of a denominator."""
+    return LaurentPoly(_content_and_primitive(p)[1])
+
+
+def _cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """(a', b') with a * b' = b * a' = lcm(a, b), for canonical denominators."""
+    if a == b:
+        return _ONE, _ONE
+    g = _primitive(qalg.poly_gcd(a, b))
+    return qalg.poly_divexact(a, g), qalg.poly_divexact(b, g)
+
+
+def _cols_times(cols: dict, c: LaurentPoly) -> dict:
+    return cols if c.is_one() else {k: {j: v * c for j, v in col.items()} for k, col in cols.items()}
 
 
 class LinOp:
     """A sparse linear operator between tensor products of S and V_1 factors.
 
-    Stored as a column map: domain basis key -> {codomain basis key ->
-    RatFunc}.  Missing columns are zero.
+    Stored as a column map, domain basis key -> {codomain basis key ->
+    LaurentPoly}, over one global denominator den: the entry at (k, j) is
+    cols[k][j] / den.  Missing columns are zero.  The form is canonical: den
+    has integer coefficients with content 1, a positive leading coefficient
+    and valuation 0, and no factor of den divides every entry, so den is the
+    lcm of the entries' reduced denominators (1 when every entry is a
+    Laurent polynomial, which costs nothing to keep).  Equality is therefore
+    structural, and products, sums and scalings multiply and add Laurent
+    polynomials; only a nontrivial den is ever reduced by a gcd.  entry()
+    and set_entry() read and write an entry's value, never its numerator.
     """
 
-    __slots__ = ("n", "dom", "cod", "cols")
+    __slots__ = ("n", "dom", "cod", "cols", "den")
 
-    def __init__(self, n: int, dom: Sig, cod: Sig, cols: dict[Key, dict[Key, RatFunc]] | None = None):
+    def __init__(self, n: int, dom: Sig, cod: Sig, cols: dict[Key, dict[Key, LaurentPoly]] | None = None,
+                 den: LaurentPoly = _ONE):
+        # cols / den must be canonical already; LinOp.reduced brings any pair to that form
         self.n = n
         self.dom = tuple(dom)
         self.cod = tuple(cod)
         self.cols = cols if cols is not None else {}
+        self.den = den
 
     # -- construction ----------------------------------------------------
 
     @staticmethod
     def identity(sig: Sig, n: int) -> "LinOp":
-        cols = {k: {k: _R_ONE} for k in sig_keys(tuple(sig), n)}
+        cols = {k: {k: _ONE} for k in sig_keys(tuple(sig), n)}
         return LinOp(n, sig, sig, cols)
 
     @staticmethod
     def zero(dom: Sig, cod: Sig, n: int) -> "LinOp":
         return LinOp(n, dom, cod, {})
 
+    @staticmethod
+    def reduced(n: int, dom: Sig, cod: Sig, cols: dict, den: LaurentPoly) -> "LinOp":
+        """The operator cols / den in canonical form, for a canonical den:
+        den and every entry are divided by their common factor.  The gcd is
+        looked up in qalg at call time, so a wrapper there (the benchmark
+        tracer's qalg.poly_gcd counter) sees every call."""
+        if den.is_one() or not cols:
+            return LinOp(n, dom, cod, cols)
+        g = den
+        for col in cols.values():
+            for v in col.values():
+                g = qalg.poly_gcd(g, v)
+                if g.is_one():
+                    return LinOp(n, dom, cod, cols, den)
+        g = _primitive(g)
+        cols = {k: {j: qalg.poly_divexact(v, g) for j, v in col.items()} for k, col in cols.items()}
+        return LinOp(n, dom, cod, cols, qalg.poly_divexact(den, g))
+
     def set_entry(self, dom_key: Key, cod_key: Key, value: RatFunc | LaurentPoly) -> None:
-        if isinstance(value, LaurentPoly):
-            value = RatFunc.from_poly(value)
-        if value.is_zero():
-            return
-        self.cols.setdefault(dom_key, {})[cod_key] = value
+        """Write the value of one entry; zero removes it."""
+        num, den = (value.num, value.den) if isinstance(value, RatFunc) else (value, _ONE)
+        mine, theirs = _cofactors(self.den, den)
+        cols = dict(_cols_times(self.cols, theirs))  # operators may share column maps: copy what changes
+        col = dict(cols.get(dom_key, ()))
+        num = num * mine
+        if num:
+            col[cod_key] = num
+        else:
+            col.pop(cod_key, None)
+        if col:
+            cols[dom_key] = col
+        else:
+            cols.pop(dom_key, None)
+        op = LinOp.reduced(self.n, self.dom, self.cod, cols, self.den * theirs)
+        self.cols, self.den = op.cols, op.den
 
     # -- linear structure -------------------------------------------------
 
@@ -156,19 +213,21 @@ class LinOp:
 
     def __add__(self, other: "LinOp") -> "LinOp":
         self._check_same_shape(other)
-        cols: dict[Key, dict[Key, RatFunc]] = {}
-        for k in self.cols.keys() | other.cols.keys():
-            col = dict(self.cols.get(k, ()))
-            for j, c in other.cols.get(k, {}).items():
+        da, db = _cofactors(self.den, other.den)
+        a, b = _cols_times(self.cols, db), _cols_times(other.cols, da)
+        cols: dict[Key, dict[Key, LaurentPoly]] = {}
+        for k in a.keys() | b.keys():
+            col = dict(a.get(k, ()))
+            for j, c in b.get(k, {}).items():
                 s = col.get(j)
                 s = c if s is None else s + c
-                if s.is_zero():
-                    col.pop(j, None)
-                else:
+                if s:
                     col[j] = s
+                else:
+                    col.pop(j, None)
             if col:
                 cols[k] = col
-        return LinOp(self.n, self.dom, self.cod, cols)
+        return LinOp.reduced(self.n, self.dom, self.cod, cols, self.den * db)
 
     def __neg__(self) -> "LinOp":
         return self.scale(-1)
@@ -177,77 +236,60 @@ class LinOp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinOp":
-        if isinstance(c, (int, Fraction, LaurentPoly)):
-            c = RatFunc.from_poly(c if isinstance(c, LaurentPoly) else LaurentPoly.const(c))
-        if c.is_zero():
+        """c times self, for c an int, Fraction, LaurentPoly or RatFunc."""
+        if isinstance(c, RatFunc):
+            num, den = c.num, c.den
+        else:
+            num, den = (c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)), _ONE
+        if not num:
             return LinOp.zero(self.dom, self.cod, self.n)
-        cols = {k: {j: v * c for j, v in col.items()} for k, col in self.cols.items()}
-        return LinOp(self.n, self.dom, self.cod, cols)
+        if num.is_one() and den.is_one():
+            return self
+        return LinOp.reduced(self.n, self.dom, self.cod, _cols_times(self.cols, num), self.den * den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinOp):
             return NotImplemented
-        return self.dom == other.dom and self.cod == other.cod and self.cols == other.cols
+        return (self.dom == other.dom and self.cod == other.cod and self.den == other.den
+                and self.cols == other.cols)
 
     def is_zero(self) -> bool:
         return not self.cols
 
     # -- composition -------------------------------------------------------
 
-    def apply_column(self, col: dict[Key, RatFunc]) -> dict[Key, RatFunc]:
-        """self applied to one column.
-
-        Each output entry is summed per denominator: numerators over a
-        common denominator add as Laurent polynomials, with no gcd, and the
-        per-denominator sums are added in a fixed order of denominators.
-        So the cost does not depend on the order of the entries."""
-        sums: dict[Key, list] = {}
+    def apply_column(self, col: dict[Key, LaurentPoly]) -> dict[Key, LaurentPoly]:
+        """The numerators, over self.den, of self applied to one column of
+        Laurent entries."""
+        rows = self.cols
+        sums: dict[Key, LaurentPoly] = {}
         for j, c in col.items():
-            target = self.cols.get(j)
+            target = rows.get(j)
             if not target:
                 continue
-            for i, a in target.items():
-                num = a.num * c.num
-                acc = sums.get(i)
-                if acc is None:
-                    acc = sums[i] = [_ZERO_POLY, {}]
-                if a.den.is_one() and c.den.is_one():
-                    acc[0] = acc[0] + num
-                else:
-                    den = a.den * c.den
-                    by_den = acc[1]
-                    s = by_den.get(den)
-                    by_den[den] = num if s is None else s + num
-        out: dict[Key, RatFunc] = {}
-        for i, (poly, by_den) in sums.items():
-            s = RatFunc.from_poly(poly)
-            for den in sorted(by_den, key=_den_order):
-                s = s + RatFunc(by_den[den], den)
-            if s:
-                out[i] = s
-        return out
+            for i, e in target.items():
+                p = e * c
+                s = sums.get(i)
+                sums[i] = p if s is None else s + p
+        return {i: s for i, s in sums.items() if s}
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
-        """self after other."""
+        """self after other, column by column over Laurent numerators."""
         if other.cod != self.dom:
             raise ValueError(f"signature mismatch: {other.cod} -> {self.dom}")
-        cols: dict[Key, dict[Key, RatFunc]] = {}
+        cols: dict[Key, dict[Key, LaurentPoly]] = {}
         for k, col in other.cols.items():
             new = self.apply_column(col)
             if new:
                 cols[k] = new
-        return LinOp(self.n, other.dom, self.cod, cols)
+        return LinOp.reduced(self.n, other.dom, self.cod, cols, self.den * other.den)
 
     def tensor(self, other: "LinOp") -> "LinOp":
-        cols: dict[Key, dict[Key, RatFunc]] = {}
+        cols: dict[Key, dict[Key, LaurentPoly]] = {}
         for k1, col1 in self.cols.items():
             for k2, col2 in other.cols.items():
-                col: dict[Key, RatFunc] = {}
-                for j1, c1 in col1.items():
-                    for j2, c2 in col2.items():
-                        col[j1 + j2] = c1 * c2
-                cols[k1 + k2] = col
-        return LinOp(self.n, self.dom + other.dom, self.cod + other.cod, cols)
+                cols[k1 + k2] = {j1 + j2: c1 * c2 for j1, c1 in col1.items() for j2, c2 in col2.items()}
+        return LinOp.reduced(self.n, self.dom + other.dom, self.cod + other.cod, cols, self.den * other.den)
 
     def embed(self, left: int, right: int, keys: Iterable[Key]) -> "LinOp":
         """The columns at keys of id^{(x) left} (x) self (x) id^{(x) right}, all
@@ -260,23 +302,23 @@ class LinOp:
                 head, tail = k[:left], k[left + width :]
                 cols[k] = {head + j + tail: v for j, v in col.items()}
         pad = ("S",)
-        return LinOp(self.n, pad * left + self.dom + pad * right, pad * left + self.cod + pad * right, cols)
+        return LinOp.reduced(self.n, pad * left + self.dom + pad * right, pad * left + self.cod + pad * right,
+                             cols, self.den)
 
     # -- inspection ----------------------------------------------------------
 
     def entry(self, dom_key: Key, cod_key: Key) -> RatFunc:
-        return self.cols.get(dom_key, {}).get(cod_key, RatFunc.zero())
+        v = self.cols.get(dom_key, {}).get(cod_key)
+        if v is None:
+            return RatFunc.zero()
+        return RatFunc.from_poly(v) if self.den.is_one() else RatFunc(v, self.den)
 
     def nnz(self) -> int:
         return sum(len(c) for c in self.cols.values())
 
     def dump_rows(self) -> list[tuple[list[int], list[int], str]]:
         """Canonically ordered (domain_key, codomain_key, scalar) triples."""
-        rows = []
-        for k in sorted(self.cols):
-            for j in sorted(self.cols[k]):
-                rows.append((list(k), list(j), str(self.cols[k][j])))
-        return rows
+        return [(list(k), list(j), str(self.entry(k, j))) for k in sorted(self.cols) for j in sorted(self.cols[k])]
 
     def __repr__(self) -> str:
         return f"LinOp({self.dom}->{self.cod}, n={self.n}, nnz={self.nnz()})"
@@ -414,11 +456,12 @@ def lusztig_T(i: int, n: int) -> LinOp:
         pair = int(pair)
         col: dict[Key, RatFunc] = {}
         # divided powers: on S every e_i^2 and f_i^2 vanish, but we keep the
-        # general loop so the formula stays honest
+        # general loop so the formula stays honest; e_i and f_i have Laurent
+        # entries (den 1), so apply_column gives the values of vec
         b = max(pair, 0)
         while True:
             a = b - pair
-            vec: dict[Key, RatFunc] = {(J,): _R_ONE}
+            vec: dict[Key, LaurentPoly] = {(J,): _ONE}
             fact = LaurentPoly.one()
             for t in range(1, b + 1):
                 vec = f_op.apply_column(vec)
@@ -432,12 +475,10 @@ def lusztig_T(i: int, n: int) -> LinOp:
             coeff = RatFunc(sign, fact)
             for k, c in vec.items():
                 s = col.get(k)
-                s = c * coeff if s is None else s + c * coeff
-                col[k] = s
+                col[k] = coeff * c if s is None else s + coeff * c
             b += 1
-        col = {k: c for k, c in col.items() if not c.is_zero()}
-        if col:
-            op.cols[(J,)] = col
+        for k, c in col.items():
+            op.set_entry((J,), k, c)
     return op
 
 
@@ -464,10 +505,7 @@ def lusztig_T_w0(n: int) -> LinOp:
 def cup_n(n: int) -> LinOp:
     """The coevaluation 1 -> S (x) S, sending 1 to sum_I q^I x_{I^c} (x) x_I."""
     op = LinOp(n, (), ("S", "S"))
-    col: dict[Key, RatFunc] = {}
-    for I in subset_iter(n):
-        col[(complement(I, n), I)] = RatFunc.from_poly(qJ(I, n))
-    op.cols[()] = col
+    op.cols[()] = {(complement(I, n), I): qJ(I, n) for I in subset_iter(n)}
     return op
 
 
@@ -475,7 +513,7 @@ def cap_n(n: int) -> LinOp:
     """The evaluation S (x) S -> 1, sending x_I (x) x_J to q^{-I} delta_{J, I^c}."""
     op = LinOp(n, ("S", "S"), ())
     for I in subset_iter(n):
-        op.set_entry((I, complement(I, n)), (), RatFunc(LaurentPoly.one(), qJ(I, n)))
+        op.set_entry((I, complement(I, n)), (), qJ(I, n) ** -1)
     return op
 
 
@@ -493,14 +531,14 @@ def closure_weight(nu: tuple[int, ...], m: int, n: int) -> LaurentPoly:
     return LaurentPoly.q_pow(e, (-1) ** (m * binom2(n + 1)))
 
 
-def _phi1_pairs(n: int) -> dict[tuple[int, int], RatFunc]:
+def _phi1_pairs(n: int) -> dict[tuple[int, int], LaurentPoly]:
     """Nonzero values of the V_1 evaluation pairing (v, w) -> phi_1(v)(w)."""
-    vals: dict[tuple[int, int], RatFunc] = {}
+    vals: dict[tuple[int, int], LaurentPoly] = {}
     mq2 = lambda k: LaurentPoly.q_pow(-2 * k, (-1) ** k)  # noqa: E731  ((-q^{-2})^k)
     for i in range(1, n + 1):
-        vals[(i - 1, 2 * n + 1 - i)] = RatFunc.from_poly(mq2(i - 1))  # a_i against b_i
-        vals[(2 * n + 1 - i, i - 1)] = RatFunc.from_poly(-mq2(2 * n - i))  # b_i against a_i
-    vals[(n, n)] = RatFunc.from_poly(mq2(n) * qint(2))
+        vals[(i - 1, 2 * n + 1 - i)] = mq2(i - 1)  # a_i against b_i
+        vals[(2 * n + 1 - i, i - 1)] = -mq2(2 * n - i)  # b_i against a_i
+    vals[(n, n)] = mq2(n) * qint(2)
     return vals
 
 
@@ -514,11 +552,9 @@ def cap_1(n: int) -> LinOp:
 def cup_1(n: int) -> LinOp:
     """1 -> V_1 (x) V_1 via v (x) phi_1^{-1}(v^*); inverts the pairing of cap_1."""
     op = LinOp(n, (), ("V", "V"))
-    col: dict[Key, RatFunc] = {}
     for (v, w), c in _phi1_pairs(n).items():
         # cap_1(v (x) w) = c forces cup_1 to carry w (x) v with coefficient 1/c
-        col[(w, v)] = c.inv()
-    op.cols[()] = col
+        op.set_entry((), (w, v), RatFunc(_ONE, c))
     return op
 
 
@@ -542,11 +578,11 @@ def Y1(n: int) -> LinOp:
     full = (1 << n) - 2  # subsets of {2..n} are submasks of this
     for l in range(1, n + 1):
         sig = _sigma(l, n)
-        col_a: dict[Key, RatFunc] = {}
-        col_b: dict[Key, RatFunc] = {}
+        col_a: dict[Key, LaurentPoly] = {}
+        col_b: dict[Key, LaurentPoly] = {}
         I = full
         while True:
-            coeff = RatFunc.from_poly(qJ(I, n))
+            coeff = qJ(I, n)
             rest = _apply_sigma(full ^ I, sig)
             img = _apply_sigma(I, sig)
             col_a[(rest, img)] = coeff
@@ -558,15 +594,15 @@ def Y1(n: int) -> LinOp:
         op.cols[(l - 1,)] = col_a
         op.cols[(2 * n + 1 - l,)] = col_b
     sig = _sigma(n, n)
-    col_u: dict[Key, RatFunc] = {}
+    col_u: dict[Key, LaurentPoly] = {}
     I = full
     while True:
         coeff = qJ(I, n)
         rest = _apply_sigma(full ^ I, sig)
         img = _apply_sigma(I, sig)
         nbit = 1 << (n - 1)
-        col_u[(rest | nbit, img)] = RatFunc.from_poly(coeff)
-        col_u[(rest, img | nbit)] = RatFunc.from_poly(LaurentPoly.q_pow(-1) * coeff)
+        col_u[(rest | nbit, img)] = coeff
+        col_u[(rest, img | nbit)] = LaurentPoly.q_pow(-1) * coeff
         if I == 0:
             break
         I = (I - 1) & full

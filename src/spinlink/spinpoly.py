@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, report_entry
-from .xcalc import ScaledOp, XFamily, braiding, build_X, inverse_braiding
+from .xcalc import XFamily, braiding, build_X
 from .rep import closure_weight, dominant_keys, doubled_weight
 
 
@@ -127,13 +127,11 @@ def _x_family(n: int) -> XFamily:
 
 @lru_cache(maxsize=8)
 def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
-    """The braiding (or inverse) on S (x) S as a denominator-cleared column
-    map: (a, b) -> {(c, d) -> LaurentPoly}, plus the global denominator."""
-    fam = _x_family(n)
-    op = braiding(n, fam) if sign > 0 else inverse_braiding(n, fam)
-    scaled = ScaledOp.lift(op)
-    cols = {k: {j: v.num for j, v in col.items()} for k, col in scaled.num.cols.items()}
-    return cols, scaled.den
+    """The braiding (sign 1) or its inverse (sign -1) on S (x) S as its
+    column map (a, b) -> {(c, d) -> LaurentPoly} of numerators, plus the
+    global denominator: the LinOp's own canonical form."""
+    op = braiding(n, _x_family(n), sign)
+    return op.cols, op.den
 
 
 @lru_cache(maxsize=16)

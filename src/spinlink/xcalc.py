@@ -12,21 +12,26 @@ against, and is not called here.  This module builds the family by two
 independent routes (iterated recursion, and Horner evaluation at X of the
 closed product polynomial of X^(k) that the symbolic engine's one-strand
 table is built from, iqsym._factor_product), provides the braiding
-and its strand embeddings, the quantum (partial) trace, the spectral
-idempotents of H, and a battery of exact matrix identities including the
-three-strand relation tables and the trace/rotation rules, compared on
-dominant weight columns only (rep.dominant_keys); partial traces weight
-each closed strand with rep.closure_weight.  Each isotypic rank is the
-trace of a spectral idempotent, since over a field of characteristic 0 the
-rank of an idempotent equals its trace.
+(and, with sign -1, its inverse) and its strand embeddings, the quantum
+(partial) trace, the spectral idempotents of H, and a battery of exact
+matrix identities including the three-strand relation tables and the
+trace/rotation rules, compared on dominant weight columns only
+(rep.dominant_keys); partial traces weight each closed strand with
+rep.closure_weight.  Each isotypic rank is the trace of a spectral
+idempotent, since over a field of characteristic 0 the rank of an
+idempotent equals its trace.
+
+Every operator is a rep.LinOp, Laurent entries over one canonical
+denominator.  X^(k) and the braidings have denominator 1, so the X
+recursion, the braiding and the relation battery multiply and add Laurent
+polynomials only; H carries 1/[2] and the spectral idempotents their
+eigenvalue-gap denominators, which are reduced once per operator.
 """
 
 from __future__ import annotations
 
 from . import clifford
-from .qalg import (
-    GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, poly_divexact, poly_gcd, qint, report_entry,
-)
+from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, qint, report_entry
 from .rep import (
     LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
 )
@@ -35,107 +40,8 @@ from .iqsym import _factor_product, _x_lead, relation_table, trace_rule_coeff
 _ONE = LaurentPoly.one()
 
 
-# -- scaled operators: Laurent-entry matrix over a global scalar denominator --
-
-
-def clear_denominators(op: LinOp) -> tuple[LinOp, LaurentPoly]:
-    """Rewrite op = num / den with num having denominator-free entries."""
-    den = _ONE
-    for col in op.cols.values():
-        for v in col.values():
-            if not v.den.is_one():
-                den = den * poly_divexact(v.den, poly_gcd(den, v.den))
-    if den.is_one():
-        return op, _ONE
-    num = LinOp(op.n, op.dom, op.cod)
-    for k, col in op.cols.items():
-        num.cols[k] = {j: RatFunc.from_poly(v.num * poly_divexact(den, v.den)) for j, v in col.items()}
-    return num, den
-
-
-def _times(op: LinOp, c: LaurentPoly) -> LinOp:
-    return op if c.is_one() else op.scale(c)
-
-
-class ScaledOp:
-    """A LinOp with Laurent entries divided by one global Laurent scalar.
-
-    Every entry of num has denominator 1, so products, sums and comparisons
-    never reduce a rational function: `@` multiplies and adds the Laurent
-    numerators directly, and `+`/`==` bring both sides over a common
-    denominator, scaling only a side whose gcd quotient is not 1 (nothing
-    at all when the denominators are equal, the common case).  Values are
-    never mutated in place, so `scale(1)` returns the operator itself.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LinOp, den: LaurentPoly = _ONE):
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def lift(op: LinOp) -> "ScaledOp":
-        num, den = clear_denominators(op)
-        return ScaledOp(num, den)
-
-    def __matmul__(self, other: "ScaledOp") -> "ScaledOp":
-        """self after other, column by column over Laurent numerators."""
-        a, b = self.num, other.num
-        if b.cod != a.dom:
-            raise ValueError(f"signature mismatch: {b.cod} -> {a.dom}")
-        rows = a.cols
-        cols = {}
-        for k, col in b.cols.items():
-            sums: dict = {}
-            for j, c in col.items():
-                target = rows.get(j)
-                if not target:
-                    continue
-                cn = c.num
-                for i, e in target.items():
-                    p = e.num * cn
-                    s = sums.get(i)
-                    sums[i] = p if s is None else s + p
-            new = {i: RatFunc.from_poly(s) for i, s in sums.items() if s}
-            if new:
-                cols[k] = new
-        return ScaledOp(LinOp(a.n, b.dom, a.cod, cols), self.den * other.den)
-
-    def scale(self, c: RatFunc | LaurentPoly) -> "ScaledOp":
-        if isinstance(c, RatFunc):
-            if c.den.is_one():
-                return self.scale(c.num)
-            return ScaledOp(_times(self.num, c.num), self.den * c.den)
-        return self if c.is_one() else ScaledOp(self.num.scale(c), self.den)
-
-    def _over_common_den(self, other: "ScaledOp") -> tuple[LinOp, LinOp, LaurentPoly]:
-        """Numerators of self and other over one common denominator."""
-        if self.den == other.den:
-            return self.num, other.num, self.den
-        g = poly_gcd(self.den, other.den)
-        da, db = poly_divexact(self.den, g), poly_divexact(other.den, g)
-        return _times(self.num, db), _times(other.num, da), self.den * db
-
-    def __add__(self, other: "ScaledOp") -> "ScaledOp":
-        a, b, den = self._over_common_den(other)
-        return ScaledOp(a + b, den)
-
-    def __sub__(self, other: "ScaledOp") -> "ScaledOp":
-        return self + other.scale(LaurentPoly.const(-1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScaledOp):
-            return NotImplemented
-        a, b, _ = self._over_common_den(other)
-        return a == b
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def to_linop(self) -> LinOp:
-        inv = RatFunc(_ONE, self.den)
-        return self.num.scale(inv)
+# perfbench/tracer.py, the only reader of this name, times the products of LinOp under it
+ScaledOp = LinOp
 
 
 # -- the X family -------------------------------------------------------------
@@ -164,7 +70,7 @@ def _x_by_recursion(n: int, x: LinOp) -> list[LinOp]:
     ops = [idSS, x]
     for i in range(1, n + 1):
         lead = RatFunc(LaurentPoly.const((-1) ** i), devil(i + 1, i + 1))
-        drop = RatFunc.from_poly(devil(i, i + 1).scale((-1) ** i))
+        drop = devil(i, i + 1).scale((-1) ** i)
         nxt = ((ops[i] @ x) - ops[i].scale(drop)).scale(lead)
         ops.append(nxt)
     return ops
@@ -197,21 +103,13 @@ def build_X(n: int, check_product_route: bool = True) -> XFamily:
     return XFamily(n, ops, h)
 
 
-def braiding(n: int, fam: XFamily | None = None) -> LinOp:
-    """R on S (x) S: q^{n/2} sum_k q^{-k} X^(k)."""
+def braiding(n: int, fam: XFamily | None = None, sign: int = 1) -> LinOp:
+    """R on S (x) S, q^{n/2} sum_k q^{-k} X^(k); with sign = -1 its inverse
+    R^{-1} = q^{-n/2} sum_k q^{k} X^(k)."""
     fam = fam or build_X(n, check_product_route=False)
     total = LinOp.zero(("S", "S"), ("S", "S"), n)
     for k in range(n + 1):
-        total = total + fam[k].scale(LaurentPoly.v_pow(2 * (-k) + n))
-    return total
-
-
-def inverse_braiding(n: int, fam: XFamily | None = None) -> LinOp:
-    """R^{-1} = q^{-n/2} sum_k q^{k} X^(k)."""
-    fam = fam or build_X(n, check_product_route=False)
-    total = LinOp.zero(("S", "S"), ("S", "S"), n)
-    for k in range(n + 1):
-        total = total + fam[k].scale(LaurentPoly.v_pow(2 * k - n))
+        total = total + fam[k].scale(LaurentPoly.v_pow(sign * (n - 2 * k)))
     return total
 
 
@@ -219,16 +117,11 @@ def r_on_strands(i: int, m: int, n: int, inverse: bool = False, fam: XFamily | N
     """The braiding acting on strands (i, i+1) of S^{(x) m}."""
     if not 1 <= i <= m - 1:
         raise ValueError(f"strand index {i} out of range for {m} strands")
-    r = inverse_braiding(n, fam) if inverse else braiding(n, fam)
+    r = braiding(n, fam, -1 if inverse else 1)
     return r.embed(i - 1, m - i - 1, sig_keys(("S",) * m, n))
 
 
 # -- quantum traces ------------------------------------------------------------
-
-
-def _mu_weight(B: int, n: int) -> RatFunc:
-    """The closure weight q^{B^c} / q^{B} (a Laurent monomial)."""
-    return RatFunc.from_poly(closure_weight(doubled_weight((B,), n), 1, n))
 
 
 def ptrace(op: LinOp) -> LinOp:
@@ -236,24 +129,25 @@ def ptrace(op: LinOp) -> LinOp:
     if not op.dom or op.dom != op.cod or any(t != "S" for t in op.dom):
         raise ValueError("partial trace needs an endomorphism of a power of S")
     n = op.n
-    mu = {B: _mu_weight(B, n) for B in subset_iter(n)}
-    out = LinOp(n, op.dom[:-1], op.cod[:-1])
+    # the closure weight q^{B^c} / q^{B} of the closed strand (a Laurent monomial)
+    mu = {B: closure_weight(doubled_weight((B,), n), 1, n) for B in subset_iter(n)}
+    cols: dict = {}
     for k, col in op.cols.items():
         kk, B = k[:-1], k[-1]
         for j, v in col.items():
             if j[-1] != B:
                 continue
-            tgt = out.cols.setdefault(kk, {})
+            tgt = cols.setdefault(kk, {})
             jj = j[:-1]
             s = tgt.get(jj)
             term = v * mu[B]
             s = term if s is None else s + term
-            if s.is_zero():
-                tgt.pop(jj, None)
-            else:
+            if s:
                 tgt[jj] = s
-    out.cols = {k: c for k, c in out.cols.items() if c}
-    return out
+            else:
+                tgt.pop(jj, None)
+    cols = {k: c for k, c in cols.items() if c}
+    return LinOp.reduced(n, op.dom[:-1], op.cod[:-1], cols, op.den)
 
 
 def qtrace(op: LinOp) -> GradedScalar:
@@ -300,21 +194,21 @@ def spectral_basis(n: int, fam: XFamily | None = None) -> SpectralFamily:
     fam = fam or build_X(n, check_product_route=False)
     h, idSS = fam.h, LinOp.identity(("S", "S"), n)
     vals = h_eigenvalues(n)
-    # work with [2] H - numerator, which clears all denominators entrywise
+    # work with [2] H - [2] lambda, which has Laurent entries
     two = qint(2)
-    h2 = ScaledOp.lift(h.scale(RatFunc.from_poly(two)))
+    h2 = h.scale(two)
     assert h2.den.is_one()
+    factors = [h2 - idSS.scale((other * two).as_poly()) for other in vals]
     projs = []
     for j, lam in enumerate(vals):
-        acc = ScaledOp(idSS.scale(RatFunc.one()))
+        acc = idSS
         scalar = RatFunc.one()
         for t, other in enumerate(vals):
             if t == j:
                 continue
-            factor = ScaledOp(h2.num - idSS.scale((other * two).as_poly()))
-            acc = factor @ acc
+            acc = factors[t] @ acc
             scalar = scalar * ((lam - other) * two).inv()
-        projs.append(acc.to_linop().scale(scalar))
+        projs.append(acc.scale(scalar))
     return SpectralFamily(n, projs[:-1], projs[-1])
 
 
@@ -337,9 +231,8 @@ def braid_i_coeff(n: int, i: int) -> RatFunc:
 def rank_of(op: LinOp) -> int:
     """The rank over Q(q) of an idempotent: its trace, the sum of its
     diagonal entries, which must be an integer constant."""
-    trace = RatFunc.zero()
-    for k, col in op.cols.items():
-        trace = trace + col.get(k, RatFunc.zero())
+    diagonal = sum((col.get(k, LaurentPoly.zero()) for k, col in op.cols.items()), LaurentPoly.zero())
+    trace = RatFunc(diagonal, op.den)
     value = trace.num.c.get(0, 0)
     if trace != RatFunc.from_poly(LaurentPoly.const(value)) or value != int(value):
         raise ValueError(f"the trace {trace} is not an integer constant")
@@ -375,13 +268,11 @@ def change_of_basis_check(n: int, fam: XFamily | None = None) -> list[dict]:
     all_projs = spec.projectors + [spec.residual]
     total = LinOp.zero(("S", "S"), ("S", "S"), n)
     ok = True
-    # the products are taken in ScaledOp form: lifted once, no per-entry gcd
-    lifted = [ScaledOp.lift(p) for p in all_projs]
-    zero = ScaledOp(LinOp.zero(("S", "S"), ("S", "S"), n))
+    zero = LinOp.zero(("S", "S"), ("S", "S"), n)
     idempotent = []
-    for a, pa in enumerate(lifted):
-        total = total + all_projs[a]
-        for b, pb in enumerate(lifted):
+    for a, pa in enumerate(all_projs):
+        total = total + pa
+        for b, pb in enumerate(all_projs):
             same = (pa @ pb) == (pa if a == b else zero)
             if a == b:
                 idempotent.append(same)
@@ -389,7 +280,7 @@ def change_of_basis_check(n: int, fam: XFamily | None = None) -> list[dict]:
     entry("projector-orthogonality", ok and total == idSS)
 
     ok = True
-    i_ops = [ScaledOp.lift(spec.i_op(i)) for i in range(n)]
+    i_ops = spec.i_ops
     for i in range(n):
         for j in range(n):
             prod = i_ops[i] @ i_ops[j]
@@ -538,7 +429,7 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
 
     # braiding sanity inside the battery
     r = braiding(n, fam)
-    rinv = inverse_braiding(n, fam)
+    rinv = braiding(n, fam, -1)
     entry("braiding-times-inverse", (r @ rinv) == LinOp.identity(("S", "S"), n) == (rinv @ r))
 
     # Serre-type relations on three strands, in H-form and X-form, on the
@@ -546,7 +437,7 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
     dominant = dominant_keys(3, n)
 
     def on_strands(op, left):
-        return ScaledOp.lift(op.embed(left, 1 - left, dominant))
+        return op.embed(left, 1 - left, dominant)
 
     h1, h2 = on_strands(fam.h, 0), on_strands(fam.h, 1)
     two_q2 = devil(2, 2)
@@ -556,7 +447,7 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
 
     x1 = [on_strands(fam[k], 0) for k in range(n + 1)]
     x2 = [on_strands(fam[k], 1) for k in range(n + 1)]
-    zero3 = ScaledOp(LinOp.zero(("S",) * 3, ("S",) * 3, n))
+    zero3 = LinOp.zero(("S",) * 3, ("S",) * 3, n)
 
     def emb(outer):
         def op_of(sym, p):

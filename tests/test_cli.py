@@ -141,9 +141,8 @@ class TestVerify:
         def defective(n):
             c = wenzl_C(n)
             if n == 2:
-                col = c.cols[(0, 1)]
-                row = next(iter(col))
-                col[row] = col[row] + RatFunc.one()
+                row = next(iter(c.cols[(0, 1)]))
+                c.set_entry((0, 1), row, c.entry((0, 1), row) + RatFunc.one())
             return c
 
         monkeypatch.setattr(clifford, "wenzl_C", defective)

@@ -91,8 +91,9 @@ class TestWenzlC:
 
     def test_vacuum_value(self):
         n = 3
-        col = wenzl_C(n).cols[(0, 0)]
-        assert col == {(0, 0): RatFunc(LaurentPoly.one(), qint(2))}
+        c = wenzl_C(n)
+        assert list(c.cols[(0, 0)]) == [(0, 0)]
+        assert c.entry((0, 0), (0, 0)) == RatFunc(LaurentPoly.one(), qint(2))
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_commutes_with_coproduct(self, n):

@@ -408,9 +408,9 @@ class TestLambdaSpin:
         p = value.body.as_poly()
         return all(Fraction(c).denominator == 1 and c % 2 == 0 for c in p.c.values())
 
-    @pytest.mark.parametrize("n", (1, 2))
-    def test_short_three_strand_words(self, n):
-        for b in _all_words(3, 4):
+    @pytest.mark.parametrize("n,max_len", ((1, 4), (2, 4), (3, 3)), ids=("1", "2", "3"))
+    def test_short_three_strand_words(self, n, max_len):
+        for b in _all_words(3, max_len):
             assert self._is_even(self._difference(b, n)), (n, b.letters)
 
     @pytest.mark.parametrize("text,m", [(" ".join(["1"] * k), 2) for k in range(6)]

@@ -7,17 +7,15 @@ from math import comb
 import pytest
 
 from spinlink.iqsym import relation_table, trace_rule_coeff
-from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, qint
+from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, poly_divexact, poly_gcd, qint
 from spinlink.clifford import wenzl_C
-from spinlink.rep import H, LinOp, S_SIG, cap_n, circle_value, coproduct_action, cup_n, sig_keys
+from spinlink.rep import H, LinOp, S_SIG, cap_n, circle_value, coproduct_action, cup_n, dominant_keys, sig_keys
 from spinlink.xcalc import (
-    ScaledOp,
     XFamily,
     braiding,
     build_X,
     change_of_basis_check,
     h_eigenvalues,
-    inverse_braiding,
     lambda_coeff,
     ptrace,
     qtrace,
@@ -116,9 +114,8 @@ class TestOrderIndependence:
             return wrapper
 
         gcd, divexact = counted("gcd", qalg.poly_gcd), counted("divexact", qalg.poly_divexact)
-        for mod in (qalg, xcalc):
-            monkeypatch.setattr(mod, "poly_gcd", gcd)
-            monkeypatch.setattr(mod, "poly_divexact", divexact)
+        monkeypatch.setattr(qalg, "poly_gcd", gcd)  # rep.LinOp calls both through qalg
+        monkeypatch.setattr(qalg, "poly_divexact", divexact)
 
         def check_with(h_op):
             idSS = LinOp.identity(("S", "S"), n)
@@ -139,7 +136,7 @@ class TestBraiding:
     @pytest.mark.parametrize("n", RANKS)
     def test_inverse(self, families, n):
         r = braiding(n, families[n])
-        rinv = inverse_braiding(n, families[n])
+        rinv = braiding(n, families[n], -1)
         idSS = LinOp.identity(("S", "S"), n)
         assert r @ rinv == idSS
         assert rinv @ r == idSS
@@ -168,8 +165,8 @@ class TestBraiding:
         assert a1 @ a3 == a3 @ a1
 
     def test_yang_baxter_rank_three(self, families):
-        r1 = ScaledOp.lift(r_on_strands(1, 3, 3, fam=families[3]))
-        r2 = ScaledOp.lift(r_on_strands(2, 3, 3, fam=families[3]))
+        r1 = r_on_strands(1, 3, 3, fam=families[3])
+        r2 = r_on_strands(2, 3, 3, fam=families[3])
         assert r1 @ r2 @ r1 == r2 @ r1 @ r2
 
     def test_strand_index_range(self):
@@ -356,7 +353,7 @@ class TestRelationSuite:
         def perturbed(rank):
             c = wenzl_C(rank)
             if rank == n:
-                c.cols[(3, 3)] = {(3, 3): h_eigenvalues(n)[0]}
+                c.set_entry((3, 3), (3, 3), h_eigenvalues(n)[0])
             return c
 
         monkeypatch.setattr(clifford, "wenzl_C", perturbed)
@@ -367,9 +364,18 @@ class TestRelationSuite:
         assert all(e["witness"] == "H is not an intertwiner" for e in report if e["status"] == "fail")
 
     def test_shared_prefixes_bound_the_products(self, monkeypatch):
+        # the gk-Serre, relation-table and devil's Serre products: the ones
+        # whose right factor lives on the dominant columns of S^(x)3
+        dominant = set(dominant_keys(3, 3))
         calls = []
-        matmul = ScaledOp.__matmul__
-        monkeypatch.setattr(ScaledOp, "__matmul__", lambda a, b: calls.append(1) or matmul(a, b))
+        matmul = LinOp.__matmul__
+
+        def counted(a, b):
+            if len(b.dom) == 3 and set(b.cols) <= dominant:
+                calls.append(1)
+            return matmul(a, b)
+
+        monkeypatch.setattr(LinOp, "__matmul__", counted)
         relation_suite(3)
         assert 0 < len(calls) <= 182  # 218 with one left-hand product per table row
 
@@ -384,8 +390,50 @@ def _laurent_op(seed: int) -> LinOp:
     return op
 
 
+def _canonical(p: LaurentPoly) -> LaurentPoly:
+    """p as a canonical denominator: content 1, positive leading coefficient, valuation 0."""
+    return RatFunc(LaurentPoly.one(), p).den
+
+
+def _lcm_of_entry_dens(op: LinOp) -> LaurentPoly:
+    lcm = LaurentPoly.one()
+    for k, col in op.cols.items():
+        for j in col:
+            d = op.entry(k, j).den
+            lcm = _canonical(lcm * poly_divexact(d, poly_gcd(lcm, d)))
+    return lcm
+
+
+def _entries(op: LinOp) -> dict:
+    """The values of op's nonzero entries, keyed by (column, row)."""
+    return {(k, j): op.entry(k, j) for k, col in op.cols.items() for j in col}
+
+
+def _ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, v in b.items():
+        out[key] = out.get(key, RatFunc.zero()) + v
+    return {key: v for key, v in out.items() if v}
+
+
+def _ref_scale(a: dict, c) -> dict:
+    return {key: v * c for key, v in a.items() if v * c}
+
+
+def _ref_matmul(a: dict, b: dict) -> dict:
+    """a after b, entry by entry."""
+    out: dict = {}
+    for (k, j), x in b.items():
+        for (j2, i), y in a.items():
+            if j2 == j:
+                out[(k, i)] = out.get((k, i), RatFunc.zero()) + y * x
+    return {key: v for key, v in out.items() if v}
+
+
 class TestScaledOp:
-    """ScaledOp arithmetic against the same arithmetic on RatFunc-entry LinOps."""
+    """LinOp arithmetic over one canonical denominator, the form that the
+    deleted ScaledOp kept (xcalc.ScaledOp now names LinOp), against the same
+    arithmetic on a map of RatFunc entries."""
 
     DEN_PAIRS = {
         "equal": (qint(2), qint(2)),
@@ -393,31 +441,64 @@ class TestScaledOp:
         "dividing": (qint(2), qint(4)),
     }
 
+    @staticmethod
+    def _over(seed: int, den: LaurentPoly) -> tuple[LinOp, dict]:
+        """A random operator divided by den, written entry by entry, and its entries."""
+        inv = RatFunc(LaurentPoly.one(), den)
+        ref = {key: v * inv for key, v in _entries(_laurent_op(seed)).items()}
+        op = LinOp(1, ("S", "S"), ("S", "S"))
+        for (k, j), v in ref.items():
+            op.set_entry(k, j, v)
+        assert op == _laurent_op(seed).scale(inv)
+        return op, ref
+
     @pytest.mark.parametrize("case", sorted(DEN_PAIRS))
     def test_agrees_with_linop(self, case):
         da, db = self.DEN_PAIRS[case]
-        a, b = ScaledOp(_laurent_op(1), da), ScaledOp(_laurent_op(2), db)
-        la, lb = a.to_linop(), b.to_linop()
-        assert (a + b).to_linop() == la + lb
-        assert (a - b).to_linop() == la - lb
-        assert (a @ b).to_linop() == la @ lb
-        assert (a == b) == (la == lb) and a != b
-        assert (a - a).is_zero() and (b - b).is_zero()
+        (a, ra), (b, rb) = self._over(1, da), self._over(2, db)
+        results = [
+            (a + b, _ref_add(ra, rb)),
+            (a - b, _ref_add(ra, _ref_scale(rb, -1))),
+            (a @ b, _ref_matmul(ra, rb)),
+        ]
         for c in (qint(3), RatFunc.from_poly(qint(3)), RatFunc(LaurentPoly.q_pow(1), qint(5))):
-            assert a.scale(c).to_linop() == la.scale(c)
+            results.append((a.scale(c), _ref_scale(ra, c)))
+        for op, ref in results:
+            assert _entries(op) == ref and op.den == _lcm_of_entry_dens(op)
+        assert (a == b) == (ra == rb) and a != b
+        assert (a - a).is_zero() and (b - b).is_zero() and (a - a).den.is_one()
 
     def test_same_value_over_a_multiple(self):
-        c = qint(3).scale(2)
-        a = ScaledOp(_laurent_op(1), qint(2))
-        b = ScaledOp(_laurent_op(1).scale(c), qint(2) * c)
-        assert a == b and b == a and a.to_linop() == b.to_linop()
-        assert (a + b).to_linop() == a.to_linop().scale(2)
-        assert a != ScaledOp(_laurent_op(2).scale(c), qint(2) * c)
+        a, ra = self._over(1, qint(2))
+        half, m = RatFunc(LaurentPoly.one(), qint(2)), _canonical(qint(3))
+        cols = {k: {j: v * half.num * m for j, v in col.items()} for k, col in _laurent_op(1).cols.items()}
+        b = LinOp.reduced(1, a.dom, a.cod, cols, half.den * m)
+        assert a == b and b == a and a.den == b.den == half.den
+        assert a + b == a.scale(2) and _entries(a + b) == _ref_scale(ra, 2)
+        c, _ = self._over(2, qint(2))
+        assert a != c
+        # the same numerators over another denominator are another value
+        assert a != LinOp(1, a.dom, a.cod, a.cols) and a != LinOp.reduced(1, a.dom, a.cod, a.cols, m)
 
     def test_scaling_by_one(self):
-        a = ScaledOp(_laurent_op(1), qint(2))
-        for one in (LaurentPoly.one(), RatFunc.one()):
-            assert a.scale(one) == a and a.scale(one).to_linop() == a.to_linop()
+        a, ra = self._over(1, qint(2))
+        for one in (1, LaurentPoly.one(), RatFunc.one()):
+            assert a.scale(one) == a and _entries(a.scale(one)) == ra
+
+
+class TestCanonicalForm:
+    @pytest.mark.parametrize("n", RANKS)
+    def test_x_family_and_braidings_have_denominator_one(self, families, n):
+        assert all(families[n][k].den.is_one() for k in range(n + 1))
+        assert braiding(n, families[n]).den.is_one() and braiding(n, families[n], -1).den.is_one()
+        assert not families[n].h.den.is_one()  # H = X + 1/[2]
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_projector_denominator_is_the_lcm_of_its_entries(self, families, n):
+        spec = spectral_basis(n, families[n])
+        projectors = spec.projectors + [spec.residual]
+        assert all(p.den == _lcm_of_entry_dens(p) for p in projectors)
+        assert any(not p.den.is_one() for p in projectors)
 
 
 class TestRanks:
