@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import shlex
 
 import pytest
 
@@ -187,6 +188,69 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run(capsys, "verify", "nonsense")
         assert exc.value.code == 2
+
+
+# sha256 of the stdout of `spinlink <command>`: every evaluation route, each
+# normalization, both formats and a q^{1/N} offset, so a change of the value
+# representation must never reach what a user reads
+STDOUT_DIGESTS = {
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize raw --format text":
+        "88f7b741afb89e740a2124f077fdb337fa65dd6c78e4ee73b38dbd44abca4a57",
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize raw --format json":
+        "0c84e37bf8305b9cfb9b082c31029596ee5d3b5443650820e5114c04cd7a43d0",
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize unframed --format text":
+        "5893b2aa12905686f5d32d405d0d9afe4f0fb3d4a55ea7bc077a2232d8822af2",
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize unframed --format json":
+        "85c15dfd85fd1ce576eb208c23006f5a4d1347271ca780e1e07cc87d44852dbf",
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize intro --format text":
+        "f816d92f381a0eab6f80ca5247dcf676103104d340646baa9146c06004af4a6b",
+    "poly spin --n 2 --braid '1 -2 -2' --engine matrix --normalize intro --format json":
+        "c70359e2031b2b013ecf79c202cfe4a448c1e7c2b3d880a1d41cb61d5ce2588d",
+    "poly spin --n 1 --braid '1 1 1' --engine matrix --normalize unframed --mirror --format text":
+        "b2a8df789454a30cf57578182b2eff4225d9e19cdec51ab7c815f9902eccc5e0",
+    "poly spin --n 1 --braid '1 1 1' --engine matrix --normalize unframed --mirror --format json":
+        "bc31dfb7c18869e72d9a8ae37e8fd9aa3e2830ab40c5b967d644669a9904c517",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize raw --format text":
+        "88f7b741afb89e740a2124f077fdb337fa65dd6c78e4ee73b38dbd44abca4a57",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize raw --format json":
+        "0c84e37bf8305b9cfb9b082c31029596ee5d3b5443650820e5114c04cd7a43d0",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize unframed --format text":
+        "5893b2aa12905686f5d32d405d0d9afe4f0fb3d4a55ea7bc077a2232d8822af2",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize unframed --format json":
+        "85c15dfd85fd1ce576eb208c23006f5a4d1347271ca780e1e07cc87d44852dbf",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize intro --format text":
+        "f816d92f381a0eab6f80ca5247dcf676103104d340646baa9146c06004af4a6b",
+    "poly spin --n 2 --braid '1 -2 -2' --engine symbolic --normalize intro --format json":
+        "c70359e2031b2b013ecf79c202cfe4a448c1e7c2b3d880a1d41cb61d5ce2588d",
+    "poly spin --n 1 --braid '1 1 1' --engine symbolic --normalize unframed --mirror --format text":
+        "b2a8df789454a30cf57578182b2eff4225d9e19cdec51ab7c815f9902eccc5e0",
+    "poly spin --n 1 --braid '1 1 1' --engine symbolic --normalize unframed --mirror --format json":
+        "bc31dfb7c18869e72d9a8ae37e8fd9aa3e2830ab40c5b967d644669a9904c517",
+    "poly sln --N 3 --colors 1,1 --braid s1 --format text":
+        "80e65aec54d31a2d73ba1438a7c293ccd7541361ec775d6e6345561ec2dede27",
+    "poly sln --N 4 --colors 2,2,2 --braid '1 -2 1' --format text":
+        "00e91d20493524d0d73344908558e8a12b2266d03dbdb6c1e863040ff80823a9",
+    "poly sln --N 2 --colors 1,1 --braid 's1 s1 s1' --format text":
+        "e3d2ca4d9f9b7ca9615a2d5e65972c85bd6fe2c6e544f7dc965c5e2ae2c85243",
+    "poly sln --N 3 --colors 1,1 --braid s1 --format json":
+        "bcb768c2056b8f54fc667d666ae817cf6ba2ce7263cf9c0a05f838449f2eb75d",
+    "poly sln --N 4 --colors 2,2,2 --braid '1 -2 1' --format json":
+        "f085aff5264eb5b21294299f89e7c902cca83afccaa053e559e0e8787595b15d",
+    "poly sln --N 2 --colors 1,1 --braid 's1 s1 s1' --format json":
+        "76917bce468b4d55f9c7820976efa6d66669c9319f6b78c2bcc661cb398ed407",
+    "verify schur":
+        "0be5f686b2b84df6a9fad7999bd86d89464508d9dafcb4df9a327e60954736e4",
+    "verify xcalc --n 2 --format json":
+        "52e0b8b2c2cea9f9145578fd767f6ef8f22d0a3368b8841f4330a8b0564edd9e",
+}
+
+
+class TestGoldenStdout:
+    @pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
+    def test_stdout_is_byte_identical(self, capsys, command):
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[command]
 
 
 # sha256 of the stdout of `spinlink dump <name> --n <k>`: golden files read these
