@@ -107,18 +107,18 @@ def _suite_xcalc(args) -> list[dict]:
 def _suite_iq(args) -> list[dict]:
     from . import iqsym
 
-    return iqsym.gk_ops(3)
+    return iqsym.gk_ops()
 
 
 def _suite_schur(args) -> list[dict]:
-    from .qalg import RatFunc, qbinom
+    from .qalg import qbinom
 
     report = []
     ok = True
     for N in range(0, min(args.n + 2, 5) + 1):
         for a1 in range(0, N + 1):
             x = schur.SchurElement.idempotent((a1,), N)
-            if schur.bilinear_form(x) != GradedScalar(0, RatFunc.from_poly(qbinom(N, a1))):
+            if schur.bilinear_form(x) != GradedScalar(0, qbinom(N, a1)):
                 ok = False
     report.append(report_entry("bilinear-base-case", {}, ok))
     tre = parse_braid("s1 s1 s1")
@@ -229,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=sorted(_SUITES))
     verify.add_argument("--bound", type=_positive, default=10, help="parameter bound (qalg)")
-    verify.add_argument("--n", type=_positive, default=2, help="max rank (rep/clifford/xcalc/iq) or probe rank")
+    verify.add_argument("--n", type=_positive, default=2,
+                        help="max rank (rep/clifford/xcalc/schur) or probe rank (conjectures)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
 
     dump = sub.add_parser("dump", help="dump an operator as canonical JSON rows")

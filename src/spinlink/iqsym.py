@@ -42,8 +42,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qalg import (
-    GradedScalar, LaurentPoly, RatFunc, _accumulate, _add_terms, _add_to, _concat_terms, binom2, devil, qint,
-    report_entry,
+    GradedScalar, LaurentPoly, RatFunc, _accumulate, _add_terms, _add_to, _concat_terms, binom2, devil, devil_ratio,
+    qint, report_entry,
 )
 from .rep import circle_value
 
@@ -65,11 +65,7 @@ def trace_rule_coeff(n: int, k: int) -> LaurentPoly:
     (-1)^{n(k+1)+C(n-k,2)} prod_{t=1}^{n-k} "[n+1-t][n+t]" / "[t]^2"."""
     if not 0 <= k <= n:
         raise ValueError("power out of range")
-    sign = (-1) ** (n * (k + 1) + binom2(n - k))
-    out = RatFunc.from_poly(LaurentPoly.const(sign))
-    for t in range(1, n - k + 1):
-        out = out * RatFunc(devil(n + 1 - t, n + t), devil(t, t))
-    return out.as_poly()
+    return (devil_ratio(n, n - k) * (-1) ** (n * (k + 1) + binom2(n - k))).as_poly()
 
 
 # -- one-strand algebra ---------------------------------------------------------
@@ -460,7 +456,7 @@ def trace_eval(elem: AlgElement, m: int, n: int) -> GradedScalar:
     strip top-strand letters one at a time down to the circle value."""
     if n > 3:
         raise ValueError("symbolic trace evaluation needs rank <= 3")
-    return GradedScalar(0, RatFunc.from_poly(_trace_eval_inner(elem, m, n)))
+    return GradedScalar(0, _trace_eval_inner(elem, m, n))
 
 
 def crossing_element(i: int, n: int, sign: int) -> AlgElement:
@@ -560,11 +556,11 @@ def gk_substitution_scalar() -> RatFunc:
     return lam
 
 
-def gk_ops(m: int) -> list[dict]:
-    """Presentation checks for the coideal algebra on m strands: the
-    substitution between the two Serre relations, invertibility of the
-    devil quantum Weyl elements in each truncation, and the witness that
-    the parity divided powers differ from the devil divided powers."""
+def gk_ops() -> list[dict]:
+    """Presentation checks for the coideal algebra: the substitution
+    between the two Serre relations, invertibility of the devil quantum
+    Weyl elements in each truncation (ranks 1-3), and the witness that the
+    parity divided powers differ from the devil divided powers."""
     report = []
 
     def entry(name, ok, **params):

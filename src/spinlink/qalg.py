@@ -4,10 +4,13 @@ Everything downstream works over the field Q(q^{1/2}).  Internally a
 Laurent polynomial is stored in the variable v = q^{1/2}, as a sparse map
 from integer v-exponent to an exact rational coefficient, so a single
 integer-exponent ring serves both q and q^{1/2} contexts.  On top of that
-sit rational functions (RatFunc) with a canonical reduced form, and
-GradedScalar, which carries an extra exact rational exponent offset r so
-that values of the shape q^r * f(q) (for example q^{1/N} prefactors) stay
-exact without adjoining roots to the polynomial ring.
+sit rational functions (RatFunc) with a canonical reduced form, kept for
+the quotients that are real (operator scalars, the X^(k) coefficients and
+the identity battery), and GradedScalar, a link value: q^r times a Laurent
+polynomial, with an exact rational exponent offset r so that q^{1/N}
+prefactors stay exact without adjoining roots to the polynomial ring.
+Every link polynomial is such a value, so no evaluation route builds a
+quotient.
 
 The module also houses the quantum-integer zoo: [n], q^k + q^{-k},
 quantum binomials, the signed "devil" product of quantum integers, the
@@ -481,7 +484,7 @@ class RatFunc:
 
 
 class GradedScalar:
-    """An exact value q^r * f where r is rational and f is a RatFunc.
+    """An exact value q^r * f where r is rational and f is a LaurentPoly.
 
     The canonical form absorbs every integer power of v = q^{1/2} into f,
     leaving 0 <= r < 1/2; equality is then structural.  Addition is only
@@ -491,38 +494,29 @@ class GradedScalar:
 
     __slots__ = ("offset", "body")
 
-    def __init__(self, offset: Fraction | int, body: RatFunc | LaurentPoly):
-        if isinstance(body, LaurentPoly):
-            body = RatFunc.from_poly(body)
-        offset = Fraction(offset)
-        if body.is_zero():
-            self.offset, self.body = Fraction(0), RatFunc.zero()
-            return
-        twice = 2 * offset
+    def __init__(self, offset: Fraction | int, body: LaurentPoly):
+        if not isinstance(body, LaurentPoly):
+            raise TypeError(f"a GradedScalar body is a LaurentPoly, not {type(body).__name__}")
+        twice = 2 * Fraction(offset)
         k = twice.numerator // twice.denominator  # floor
-        frac = twice - k
-        if k:
-            body = RatFunc(body.num.shift(k), body.den)
-        self.offset = frac / 2
-        self.body = body
-
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "GradedScalar":
-        return GradedScalar(0, p)
+        if body.is_zero():
+            self.offset, self.body = Fraction(0), body
+        else:
+            self.offset, self.body = (twice - k) / 2, body.shift(k) if k else body
 
     @staticmethod
     def zero() -> "GradedScalar":
-        return GradedScalar(0, RatFunc.zero())
+        return GradedScalar(0, _ZERO)
 
     @staticmethod
     def one() -> "GradedScalar":
-        return GradedScalar(0, RatFunc.one())
+        return GradedScalar(0, _ONE)
 
     def is_zero(self) -> bool:
         return self.body.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (LaurentPoly, RatFunc)):
+        if isinstance(other, LaurentPoly):
             other = GradedScalar(0, other)
         if not isinstance(other, GradedScalar):
             return NotImplemented
@@ -548,26 +542,26 @@ class GradedScalar:
 
     def __mul__(self, other) -> "GradedScalar":
         if isinstance(other, (int, Fraction)):
-            return GradedScalar(self.offset, self.body * other)
-        if isinstance(other, (LaurentPoly, RatFunc)):
+            return GradedScalar(self.offset, self.body.scale(other))
+        if isinstance(other, LaurentPoly):
             other = GradedScalar(0, other)
         return GradedScalar(self.offset + other.offset, self.body * other.body)
 
     __rmul__ = __mul__
 
     def inv(self) -> "GradedScalar":
-        return GradedScalar(-self.offset, self.body.inv())
+        """The inverse of a monomial; anything else raises ValueError."""
+        return GradedScalar(-self.offset, self.body ** -1)
 
     def bar(self) -> "GradedScalar":
         """q -> q^{-1}."""
         return GradedScalar(-self.offset, self.body.bar())
 
     def json_terms(self) -> list[list[int]]:
-        """Numerator terms as [exp_num, exp_den, coeff_num, coeff_den] with the
-        offset folded into each exponent; raises if the body has a denominator."""
-        p = self.body.as_poly()
+        """Terms as [exp_num, exp_den, coeff_num, coeff_den] with the offset
+        folded into each exponent."""
         out = []
-        for e, c in sorted(p.c.items()):
+        for e, c in sorted(self.body.c.items()):
             ex = Fraction(e, 2) + self.offset
             cf = Fraction(c)
             out.append([ex.numerator, ex.denominator, cf.numerator, cf.denominator])
@@ -685,6 +679,15 @@ def devil(m: int, n: int) -> LaurentPoly:
         term = qint(n + m - 2 * i - 1)
         total = total + (term if i % 2 == 0 else -term)
     return total
+
+
+def devil_ratio(l: int, k: int) -> RatFunc:
+    """prod_{t=1}^{k} "[l+1-t][l+t]" / "[t]^2", the ratio of devil products
+    shared by the trace rule and the I-to-X change of basis."""
+    out = RatFunc.one()
+    for t in range(1, k + 1):
+        out = out * RatFunc(devil(l + 1 - t, l + t), devil(t, t))
+    return out
 
 
 def d_value(i: int) -> LaurentPoly:

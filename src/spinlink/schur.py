@@ -36,7 +36,8 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, _add_terms, _concat_terms, qbinom
+from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
+from .rep import circle_value
 from .spinpoly import BraidWord, weighted_trace
 
 GlWeight = tuple[int, ...]
@@ -249,7 +250,7 @@ def bilinear_form(x: SchurElement, y: SchurElement | None = None) -> GradedScala
     for w, c in x.terms.items():
         depth = max(64, (len(w) + 4) * (N + 1) ** m * 16)
         total = total + c * _annular_eval(w, a, N, cache, depth)
-    return GradedScalar(0, RatFunc.from_poly(total))
+    return GradedScalar(0, total)
 
 
 def c_pm(i: int, a: GlWeight, N: int, sign: int) -> SchurElement:
@@ -406,7 +407,7 @@ def _annular_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
     elem = SchurElement.idempotent(a, N)
     for i, sign in braid.letters:
         elem = _left_multiply_c(elem, i, sign)
-    return bilinear_form(elem).body.as_poly()
+    return bilinear_form(elem).body
 
 
 # Braid closures, as (word, strands, N, color), whose q = 1 value the annular
@@ -507,7 +508,7 @@ def kauffman_bracket(braid: BraidWord) -> GradedScalar:
     -(q + q^{-1}); no writhe correction.  For rank one this is exactly the
     raw spin trace."""
     d = len(braid.letters)
-    delta = LaurentPoly({2: -1, -2: -1})  # -(q + q^{-1}) in v-units
+    delta = circle_value(1)  # -(q + q^{-1})
     total = LaurentPoly.zero()
     for state in range(1 << d):
         exp = 0
@@ -519,18 +520,15 @@ def kauffman_bracket(braid: BraidWord) -> GradedScalar:
         for _ in range(loops):
             term = term * delta
         total = total + term
-    return GradedScalar(0, RatFunc.from_poly(total))
+    return GradedScalar(0, total)
 
 
 def kauffman_jones(braid: BraidWord) -> GradedScalar:
     """The writhe-normalized bracket (unknot = 1): (-A^3)^{-w} times the
     state sum with loop exponent reduced by one."""
     w = braid.exponent_sum
-    delta = RatFunc.from_poly(LaurentPoly({2: -1, -2: -1}))
-    raw = kauffman_bracket(braid)
-    body = raw.body / delta
-    corr = LaurentPoly.v_pow(-3 * w, (-1) ** (w % 2))
-    return GradedScalar(0, body * corr)
+    body = poly_divexact(kauffman_bracket(braid).body, circle_value(1))
+    return GradedScalar(0, body * LaurentPoly.v_pow(-3 * w, (-1) ** (w % 2)))
 
 
 def closure_components(braid: BraidWord) -> int:
@@ -572,5 +570,4 @@ def sl2_from_spin1(braid: BraidWord, spin_unframed: GradedScalar) -> GradedScala
 def spin1_from_jones(braid: BraidWord) -> GradedScalar:
     """Dictionary (D2): the predicted unframed rank-one spin value from the
     Kauffman oracle."""
-    circle = GradedScalar(0, LaurentPoly({2: -1, -2: -1}))
-    return circle * kauffman_jones(braid)
+    return GradedScalar(0, circle_value(1)) * kauffman_jones(braid)

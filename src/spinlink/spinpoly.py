@@ -41,12 +41,11 @@ q -> q^{-1}.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, report_entry
+from .qalg import GradedScalar, LaurentPoly, binom2, report_entry
 from .xcalc import XFamily, braiding, build_X
 from .rep import closure_weight, dominant_keys, doubled_weight
 
@@ -128,9 +127,12 @@ def _x_family(n: int) -> XFamily:
 @lru_cache(maxsize=8)
 def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
     """The braiding (sign 1) or its inverse (sign -1) on S (x) S as its
-    column map (a, b) -> {(c, d) -> LaurentPoly} of numerators, plus the
-    global denominator: the LinOp's own canonical form."""
+    column map (a, b) -> {(c, d) -> LaurentPoly}, plus its denominator,
+    which is 1: the braiding is a Laurent combination of the X^(k), whose
+    entries are Laurent.  Any other denominator raises ValueError."""
     op = braiding(n, _x_family(n), sign)
+    if not op.den.is_one():
+        raise ValueError(f"the braiding at n={n} has denominator {op.den}, not 1")
     return op.cols, op.den
 
 
@@ -218,12 +220,11 @@ def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
     m = braid.strands
     weights = _orbit_closure(n, m)
     # the crossing data is only built when a word needs it
-    data = {s: _crossing_data(n, s) for s in (1, -1)} if braid.letters else {}
-    den = math.prod((data[sign][1] for _, sign in braid.letters), start=LaurentPoly.one())
+    cols = {s: _crossing_data(n, s)[0] for s in (1, -1)} if braid.letters else {}
     # operator product in word order: the rightmost letter acts first
-    crossings = [(i, data[sign][0].get) for i, sign in reversed(braid.letters)]
+    crossings = [(i, cols[sign].get) for i, sign in reversed(braid.letters)]
     states = ((column, weights[column]) for column in _tuples(1 << n, m) if column in weights)
-    return GradedScalar(0, RatFunc(weighted_trace(crossings, states), den))
+    return GradedScalar(0, weighted_trace(crossings, states))
 
 
 def stabilization_factor(n: int) -> GradedScalar:
@@ -289,10 +290,7 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     n = 3).
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
-    images, dens = {}, {}
-    for s in (1, -1):
-        cols, dens[s] = _crossing_data(n, s)
-        images[s] = cols.get
+    images = {s: _crossing_data(n, s)[0].get for s in (1, -1)}
     by_weight: dict[LaurentPoly, list] = {}
     for column, w in _orbit_closure(n, m).items():
         by_weight.setdefault(w, []).append(column)
@@ -316,12 +314,7 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
                         sums[child] = sums.get(child, zero) + closing_diagonal(vec, i, images[sign], column)
         for word, total in sums.items():
             totals[word] = totals.get(word, zero) + total * w
-
-    one = LaurentPoly.one()
-    return {
-        word: GradedScalar(0, RatFunc(total, math.prod((dens[sign] for _, sign in word), start=one)))
-        for word, total in totals.items()
-    }
+    return {word: GradedScalar(0, total) for word, total in totals.items()}
 
 
 def markov_suite(braid: BraidWord, n: int) -> list[dict]:

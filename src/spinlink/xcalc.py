@@ -31,7 +31,9 @@ eigenvalue-gap denominators, which are reduced once per operator.
 from __future__ import annotations
 
 from . import clifford
-from .qalg import GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, qint, report_entry
+from .qalg import (
+    GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, devil_ratio, poly_divexact, qint, report_entry,
+)
 from .rep import (
     LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
 )
@@ -155,7 +157,8 @@ def qtrace(op: LinOp) -> GradedScalar:
     cur = op
     while cur.dom:
         cur = ptrace(cur)
-    return GradedScalar(0, cur.entry((), ()))
+    value = cur.cols.get((), {}).get((), LaurentPoly.zero())
+    return GradedScalar(0, poly_divexact(value, cur.den))  # raises unless the trace is Laurent
 
 
 # -- spectral idempotents -------------------------------------------------------
@@ -165,8 +168,9 @@ class SpectralFamily:
     """Projectors onto the H-eigenspaces of S (x) S.
 
     projectors[i] projects onto the V_i isotypic block for 0 <= i <= n-1;
-    residual projects onto the top summand.  i_ops[i] is the normalized
-    idempotent-scaled operator (-1)^{C(n-i+1,2)} d_{n-i} * projectors[i].
+    residual projects onto the top summand.  i_ops[i] is I^(i), the
+    idempotent-scaled operator (-1)^{C(n-i+1,2)} d_{n-i} * projectors[i],
+    for 0 <= i <= n-1, and i_ops[n] = I^(n) is the identity.
     """
 
     def __init__(self, n: int, projectors: list[LinOp], residual: LinOp):
@@ -176,10 +180,6 @@ class SpectralFamily:
         self.i_ops = [
             projectors[i].scale(d_value(n - i).scale((-1) ** binom2(n - i + 1))) for i in range(n)
         ] + [LinOp.identity(("S", "S"), n)]
-
-    def i_op(self, i: int) -> LinOp:
-        """I^(i) for 0 <= i <= n-1, with I^(n) the identity."""
-        return self.i_ops[i]
 
 
 def h_eigenvalues(n: int) -> list[RatFunc]:
@@ -214,11 +214,7 @@ def spectral_basis(n: int, fam: XFamily | None = None) -> SpectralFamily:
 
 def lambda_coeff(n: int, i: int, l: int) -> RatFunc:
     """The change-of-basis coefficient of I^(n-l) inside X^(i)."""
-    num = LaurentPoly.const((-1) ** binom2(l - i + 1))
-    prod = RatFunc(num, d_value(l))
-    for t in range(1, i + 1):
-        prod = prod * RatFunc(devil(l + 1 - t, l + t), devil(t, t))
-    return prod
+    return RatFunc(LaurentPoly.const((-1) ** binom2(l - i + 1)), d_value(l)) * devil_ratio(l, i)
 
 
 def braid_i_coeff(n: int, i: int) -> RatFunc:
@@ -296,19 +292,19 @@ def change_of_basis_check(n: int, fam: XFamily | None = None) -> list[dict]:
     for i in range(1, n + 1):
         total = LinOp.zero(("S", "S"), ("S", "S"), n)
         for l in range(i, n + 1):
-            total = total + spec.i_op(n - l).scale(lambda_coeff(n, i, l))
+            total = total + i_ops[n - l].scale(lambda_coeff(n, i, l))
         if total != fam[i]:
             ok, witness = False, f"X^({i})"
         if lambda_coeff(n, i, i) != RatFunc.one():
             ok, witness = False, f"lambda(n-{i}) != 1"
     entry("i-to-x-change-of-basis", ok, witness)
 
-    entry("x-top-is-bigon", fam[n] == spec.i_op(0))
+    entry("x-top-is-bigon", fam[n] == i_ops[0])
 
     r = braiding(n, fam)
     total = idSS.scale(LaurentPoly.v_pow(n))
     for i in range(1, n + 1):
-        total = total + spec.i_op(n - i).scale(braid_i_coeff(n, i))
+        total = total + i_ops[n - i].scale(braid_i_coeff(n, i))
     entry("braiding-in-i-basis", total == r)
 
     ok, witness = True, None

@@ -219,6 +219,18 @@ class TestGradedScalar:
         a = GradedScalar(Fraction(1, 3), q(2) + q(-1, Fraction(3, 4)))
         assert GradedScalar.from_json_terms(a.json_terms()) == a
 
+    def test_body_is_a_laurent_polynomial(self):
+        with pytest.raises(TypeError):
+            GradedScalar(0, RatFunc(LaurentPoly.one(), qint(2)))
+        with pytest.raises(TypeError):
+            GradedScalar(0, RatFunc(qint(2)))  # a quotient with denominator 1 is still refused
+
+    def test_only_monomials_invert(self):
+        a = GradedScalar(Fraction(1, 3), q(-3, -2))
+        assert a * a.inv() == GradedScalar.one()
+        with pytest.raises(ValueError):
+            GradedScalar(0, qbinom(4, 2)).inv()
+
 
 class TestAppendixSuite:
     def test_all_pass(self):
