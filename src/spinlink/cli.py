@@ -16,7 +16,6 @@ import math
 import sys
 from fractions import Fraction
 
-from . import schur, xcalc
 from .qalg import GradedScalar, appendixA_suite, report_entry
 from .spinpoly import BraidParseError, BraidWord, eval_spin, parse_braid
 
@@ -92,6 +91,8 @@ def _suite_clifford(args) -> list[dict]:
 
 
 def _suite_xcalc(args) -> list[dict]:
+    from . import xcalc
+
     xcalc.relation_table(args.n)  # a rank without tables is refused before any check runs
     items = []
     for n in range(1, args.n + 1):
@@ -111,6 +112,7 @@ def _suite_iq(args) -> list[dict]:
 
 
 def _suite_schur(args) -> list[dict]:
+    from . import schur
     from .qalg import qbinom
 
     report = []
@@ -145,6 +147,8 @@ def _suite_schur(args) -> list[dict]:
 
 
 def _suite_conjectures(args) -> list[dict]:
+    from . import xcalc
+
     return xcalc.relation_suite(args.n, probe=True)
 
 
@@ -163,7 +167,7 @@ _SUITES = {
 
 
 def _dump_operator(name: str, n: int):
-    from . import clifford, rep
+    from . import clifford, rep, xcalc
 
     lname = name.lower()
     if lname == "h":
@@ -248,8 +252,13 @@ def main(argv: list[str] | None = None) -> int:
             print(_scalar_out(value, args.format))
             return 0
         if args.command == "poly" and args.flavor == "sln":
+            from . import schur
+
             braid = parse_braid(args.braid, args.strands)
-            colors = tuple(int(c) for c in args.colors.split(",") if c.strip() != "")
+            try:
+                colors = tuple(int(c) for c in args.colors.split(",") if c.strip() != "")
+            except ValueError:
+                raise ValueError(f"--colors takes comma-separated integers, got {args.colors!r}") from None
             value = schur.eval_slN(braid, colors, args.N)
             print(_scalar_out(value, args.format))
             return 0
@@ -265,11 +274,11 @@ def main(argv: list[str] | None = None) -> int:
     except BraidParseError as exc:
         print(f"braid parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, schur.AnnularDepthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except RecursionError:
         print("error: the input is too deep to evaluate (Python recursion limit reached)", file=sys.stderr)
+        return 2
+    except (ValueError, KeyError, RuntimeError) as exc:  # RuntimeError: schur.AnnularDepthError
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2
 

@@ -42,29 +42,41 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, binom2, report_entry
-from .xcalc import XFamily, braiding, build_X
 from .rep import closure_weight, dominant_keys, doubled_weight
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    """An element of the braid group: strand count plus signed Artin letters."""
+    """An immutable, hashable element of the braid group: strand count plus signed Artin letters."""
 
-    strands: int
-    letters: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.strands < 1:
+    def __init__(self, strands: int, letters: tuple[tuple[int, int], ...]):
+        if strands < 1:
             raise ValueError("strand count must be >= 1")
-        for i, sign in self.letters:
-            if not 1 <= i <= self.strands - 1:
-                raise ValueError(f"generator index {i} out of range for {self.strands} strands")
+        for i, sign in letters:
+            if not 1 <= i <= strands - 1:
+                raise ValueError(f"generator index {i} out of range for {strands} strands")
             if sign not in (1, -1):
                 raise ValueError(f"bad crossing sign {sign}")
+        object.__setattr__(self, "strands", strands)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"BraidWord is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.strands, self.letters) == (other.strands, other.letters)
+
+    def __hash__(self):
+        return hash((self.strands, self.letters))
+
+    def __repr__(self):
+        return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
 
     @property
     def exponent_sum(self) -> int:
@@ -119,9 +131,18 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 
 
 @lru_cache(maxsize=4)
-def _x_family(n: int) -> XFamily:
+def _x_family(n: int):
     """The X family of rank n, shared by both crossing signs."""
-    return build_X(n, check_product_route=False)
+    from . import xcalc  # on the first crossing: eval_slN and the symbolic engine never load it
+
+    return xcalc.build_X(n, check_product_route=False)
+
+
+def braiding(n: int, fam, sign: int):
+    """xcalc.braiding, imported on first use."""
+    from . import xcalc
+
+    return xcalc.braiding(n, fam, sign)
 
 
 @lru_cache(maxsize=8)

@@ -3,7 +3,11 @@
 import argparse
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +352,11 @@ class TestInputValidation:
         err = capsys.readouterr().err
         assert "argument --strands: must be an integer >= 1" in err and "Traceback" not in err
 
+    def test_colors_that_are_not_integers(self, capsys):
+        code, out, err = run(capsys, "poly", "sln", "--N", "2", "--colors", "1,x", "--braid", "1")
+        assert code == 2
+        assert out == "" and err == "error: --colors takes comma-separated integers, got '1,x'\n"
+
     @pytest.mark.parametrize("name", ("x-1", ""), ids=("x-1", "empty"))
     def test_negative_x_index(self, capsys, name):
         code, out, err = run(capsys, "dump", name, "--n", "1")
@@ -358,3 +367,40 @@ class TestInputValidation:
         code, out, _ = run(capsys, "dump", "x9", "--n", "1")
         assert code == 0
         assert json.loads(out) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# prints the modules that loading spinlink and running one command added
+FOOTPRINT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from spinlink import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+class TestImportFootprint:
+    """A command imports only the modules its route runs: every import compiles
+    its source again when bytecode is not written, and that is most of a short
+    call's time.  Each case runs in a fresh interpreter."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded, absent",
+        (
+            (("poly", "sln", "--N", "3", "--colors", "1,1,1", "--braid", "1 -2 1"), {"spinlink.schur"},
+             {"spinlink.xcalc", "spinlink.clifford", "spinlink.iqsym", "dataclasses"}),
+            (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.xcalc"}, {"spinlink.schur", "dataclasses"}),
+            (("verify", "xcalc", "--n", "1"), {"spinlink.xcalc"}, {"spinlink.schur"}),
+        ),
+        ids=("poly-sln", "poly-spin", "verify-xcalc"),
+    )
+    def test_a_command_loads_only_its_route(self, argv, loaded, absent):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.split())
+        assert loaded <= modules and not absent & modules, sorted(absent & modules)

@@ -59,6 +59,40 @@ class TestParsing:
         assert parse_braid("1 1 -2 -2 -2").exponent_sum == -1
 
 
+class TestBraidWord:
+    def test_equal_words_are_equal_and_hash_alike(self):
+        a, b = BraidWord(3, ((1, 1), (2, -1))), BraidWord(strands=3, letters=((1, 1), (2, -1)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != BraidWord(3, ((1, 1),)) and a != BraidWord(4, a.letters)
+
+    def test_a_word_is_not_a_tuple(self):
+        assert BraidWord(3, ()) != (3, ())
+        assert (3, ()) != BraidWord(3, ())
+
+    @pytest.mark.parametrize("field", ("strands", "letters"))
+    def test_fields_are_read_only(self, field):
+        word = BraidWord(2, ((1, 1),))
+        with pytest.raises(AttributeError):
+            setattr(word, field, getattr(word, field))
+        assert word == BraidWord(2, ((1, 1),))
+
+    @pytest.mark.parametrize(
+        "strands, letters, message",
+        (
+            (0, (), "strand count must be >= 1"),
+            (2, ((2, 1),), "generator index 2 out of range for 2 strands"),
+            (3, ((1, 2),), "bad crossing sign 2"),
+        ),
+    )
+    def test_validation_messages(self, strands, letters, message):
+        with pytest.raises(ValueError) as exc:
+            BraidWord(strands, letters)
+        assert str(exc.value) == message
+
+    def test_repr(self):
+        assert repr(BraidWord(2, ((1, 1),))) == "BraidWord(strands=2, letters=((1, 1),))"
+
+
 class TestEvaluation:
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_unknot(self, n):
@@ -266,7 +300,7 @@ class TestProductionRoute:
             for sign in (1, -1):
                 assert _crossing_data(n, sign)[1] == LaurentPoly.one()
         _crossing_data.cache_clear()
-        braiding = spinpoly.braiding  # xcalc.braiding, as spinpoly binds it
+        braiding = spinpoly.braiding  # xcalc.braiding, imported on first use
         monkeypatch.setattr(spinpoly, "braiding",
                             lambda n, fam, sign: braiding(n, fam, sign).scale(RatFunc(LaurentPoly.one(), qint(2))))
         with pytest.raises(ValueError, match="denominator"):
