@@ -1,10 +1,10 @@
 """Command-line interface: polynomial evaluation, verification suites, dumps.
 
 Exit codes: 0 when everything passes, 1 when a gating verification fails,
-2 on usage errors and on inputs too deep to evaluate (an error line on
-stderr, never a traceback).  The conjecture probes never gate.  Output
-ordering is deterministic (exponent-sorted terms, no timestamps) so
-reports can be used as golden files.
+2 on usage errors and on inputs too deep or too large to evaluate (an
+error line on stderr, never a traceback).  The conjecture probes never
+gate.  Output ordering is deterministic (exponent-sorted terms, no
+timestamps) so reports can be used as golden files.
 """
 
 from __future__ import annotations
@@ -276,6 +276,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except RecursionError:
         print("error: the input is too deep to evaluate (Python recursion limit reached)", file=sys.stderr)
+        return 2
+    except OverflowError:  # a size past ssize_t, refused by itertools or range
+        print("error: the input is too large to evaluate", file=sys.stderr)
         return 2
     except (ValueError, KeyError, RuntimeError) as exc:  # RuntimeError: schur.AnnularDepthError
         print(f"error: {exc}", file=sys.stderr)

@@ -291,13 +291,11 @@ def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentP
     stack = [(w, c) for w, c in raw.items() if not c.is_zero()]
     while stack:
         word, coeff = stack.pop()
-        pos = _first_reduction(word, n)
+        pos = _first_reduction(word)
         if pos is None:
             _add_to(out, word, coeff)
             continue
         kind, p = pos
-        if kind == "drop":
-            continue
         if kind == "swap":
             w = list(word)
             w[p], w[p + 1] = w[p + 1], w[p]
@@ -311,10 +309,7 @@ def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentP
     return out
 
 
-def _first_reduction(word: XWord, n: int):
-    for p, (_, k) in enumerate(word):
-        if k > n:
-            return ("drop", p)
+def _first_reduction(word: XWord):
     for p in range(len(word) - 1):
         i, j = word[p][0], word[p + 1][0]
         if i == j:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from . import qalg
@@ -38,13 +39,8 @@ def factor_dim(tag: str, n: int) -> int:
 
 
 def sig_keys(sig: Sig, n: int) -> Iterable[Key]:
-    if not sig:
-        yield ()
-        return
-    head, rest = sig[0], sig[1:]
-    for v in range(factor_dim(head, n)):
-        for tail in sig_keys(rest, n):
-            yield (v,) + tail
+    """Every basis key of the tensor product sig, in lexicographic order."""
+    return itertools.product(*(range(factor_dim(tag, n)) for tag in sig))
 
 
 def subset_iter(n: int) -> range:
@@ -84,9 +80,35 @@ def doubled_weight(key: Key, n: int) -> tuple[int, ...]:
 
 
 def dominant_keys(m: int, n: int) -> list[Key]:
-    """The basis keys of S^(x)m whose total weight is dominant, in order."""
-    keys = itertools.product(range(1 << n), repeat=m)
-    return [k for k in keys if is_dominant(doubled_weight(k, n))]
+    """The basis keys of S^(x)m whose total weight is dominant, in order.  If
+    c_j of the m factors hold j, coordinate j of the doubled weight is
+    m - 2 c_j, so the weight is dominant iff c_1 <= ... <= c_n <= m/2: each
+    such count vector gives the keys that choose c_j factors for each j."""
+    return sorted(
+        tuple(sum(1 << j for j, row in enumerate(rows) if i in row) for i in range(m))
+        for counts in itertools.combinations_with_replacement(range(m // 2 + 1), n)
+        for rows in itertools.product(*(itertools.combinations(range(m), c) for c in counts))
+    )
+
+
+@lru_cache(maxsize=256)
+def orbit_sum(nu: tuple[int, ...], steps: tuple[int, ...], signed: bool) -> LaurentPoly:
+    """Sum of q^{steps . nu'} over the distinct rearrangements nu' of nu (the S_N
+    orbit) and, if signed, their sign changes too (the W(B_n) orbit).  Values
+    are placed one position at a time; partial sums merge by what is left."""
+    layer = {tuple(sorted(abs(x) if signed else x for x in nu)): LaurentPoly.one()}
+    for step in steps:
+        nxt: dict[tuple[int, ...], LaurentPoly] = {}
+        for rest, poly in layer.items():
+            for k in set(rest):
+                j = rest.index(k)
+                key = rest[:j] + rest[j + 1 :]
+                term = poly.shift(2 * step * k)
+                if signed and k:
+                    term = term + poly.shift(-2 * step * k)
+                nxt[key] = nxt[key] + term if key in nxt else term
+        layer = nxt
+    return layer[()]
 
 
 def weight_V(v: int, n: int) -> tuple[Fraction, ...]:
@@ -522,13 +544,22 @@ def circle_value(n: int) -> LaurentPoly:
     return d_value(n).scale((-1) ** binom2(n + 1))
 
 
+def _closure_form(m: int, n: int) -> tuple[tuple[int, ...], int]:
+    """(steps, sign) with closure_weight = sign q^{steps . nu}: steps_j = 2n-2j+1, and
+    sign = (-1)^{m C(n+1,2)}, as every sign of qJ occurs once in q^{B^c} q^B."""
+    return tuple(range(2 * n - 1, 0, -2)), (-1) ** (m * binom2(n + 1))
+
+
 def closure_weight(nu: tuple[int, ...], m: int, n: int) -> LaurentPoly:
-    """The product over the m factors x_B of a basis key of S^(x)m of the
-    closure weight q^{B^c} / q^B, from the key's doubled weight nu:
-    eps^m q^{sum_j (2n-2j+1) nu_j} with eps = (-1)^{C(n+1,2)} (every sign
-    of qJ occurs once in q^{B^c} q^B)."""
-    e = sum((2 * (n - j) + 1) * x for j, x in enumerate(nu, 1))
-    return LaurentPoly.q_pow(e, (-1) ** (m * binom2(n + 1)))
+    """The closure weight prod q^{B^c} / q^B of a key of S^(x)m, from its doubled weight nu."""
+    steps, sign = _closure_form(m, n)
+    return LaurentPoly.q_pow(sum(s * x for s, x in zip(steps, nu)), sign)
+
+
+def closure_orbit_sum(nu: tuple[int, ...], m: int, n: int) -> LaurentPoly:
+    """The sum of closure_weight over the W(B_n) orbit of the doubled weight nu."""
+    steps, sign = _closure_form(m, n)
+    return orbit_sum(nu, steps, True).scale(sign)
 
 
 def _phi1_pairs(n: int) -> dict[tuple[int, int], LaurentPoly]:

@@ -15,9 +15,9 @@ Kamnitzer-Morrison): (x)_j Lambda_q^{a_j}(C^N) is the weight-a space of the
 U_q(gl_m)-module (Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse
 operator, and the pairing is the quantum trace of their product.  The
 operator commutes with U_q(gl_N), so only states of dominant gl_N weight
-are propagated, each weighted with its Weyl-orbit sum.  The trace is taken
-by the dominant-state kernel shared with the spin route
-(spinpoly.weighted_trace); the cost is linear in the crossings.
+are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum).  The
+orbit sum and the dominant-state trace kernel (spinpoly.weighted_trace)
+are shared with the spin route; the cost is linear in the crossings.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
-from .rep import circle_value
+from .rep import circle_value, orbit_sum
 from .spinpoly import BraidWord, weighted_trace
 
 GlWeight = tuple[int, ...]
@@ -342,29 +342,12 @@ def _crossing(N: int, a: int, b: int, sign: int) -> _Crossing:
     return _Crossing(N, a, b, sign)
 
 
-@lru_cache(maxsize=256)
-def _orbit_weight(nu: tuple[int, ...]) -> LaurentPoly:
-    """Sum of q^{2 rho . nu'} over the distinct rearrangements nu' of nu, with
-    2 rho = (N - 1, N - 3, ..., 1 - N)."""
-    N = len(nu)
-    layer = {tuple(sorted(nu)): LaurentPoly.one()}  # the values not yet placed
-    for r in range(N):
-        nxt: dict[tuple[int, ...], LaurentPoly] = {}
-        for rest, poly in layer.items():
-            for k in set(rest):
-                j = rest.index(k)
-                key = rest[:j] + rest[j + 1 :]
-                term = poly.shift(2 * (N - 1 - 2 * r) * k)
-                nxt[key] = nxt[key] + term if key in nxt else term
-        layer = nxt
-    return layer[()]
-
-
 @lru_cache(maxsize=16)
 def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], LaurentPoly], ...]:
     """The states of weight a whose row sums are non-increasing, each with the
-    orbit weight of its row sums.  Rows are chosen top down, each no longer
-    than the one above and leaving a remainder the rows below can hold."""
+    orbit sum of its row sums against 2 rho = (N - 1, N - 3, ..., 1 - N).  Rows are
+    chosen top down, each no longer than the one above and leaving a remainder the
+    rows below can hold."""
     m = len(a)
     out = []
 
@@ -382,10 +365,10 @@ def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], Lauren
                     place(r + 1, rest, size, rows + (row,))
 
     place(0, tuple(a), m, ())
-    states = []
+    states, two_rho = [], tuple(range(N - 1, -N, -2))
     for rows in out:
         columns = tuple(sum(1 << r for r, row in enumerate(rows) if j in row) for j in range(m))
-        states.append((columns, _orbit_weight(tuple(len(row) for row in rows))))
+        states.append((columns, orbit_sum(tuple(len(row) for row in rows), two_rho, False)))
     return tuple(states)
 
 

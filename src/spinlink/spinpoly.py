@@ -8,21 +8,21 @@ is never materialized.
 
 The braid operator commutes with U_q(so_{2n+1}), so its trace on a weight
 space W_mu depends only on the Weyl orbit of mu: weight multiplicities are
-W-invariant (Jantzen, Lectures on Quantum Groups, ch. 5), and W(B_n) acts
-by signed permutations.  The closure weight of a column (rep.closure_weight)
-is a signed power of q, linear in the column's total weight, with a sign
-that does not depend on the column, and the dominant columns are those of
-rep.dominant_keys.  Hence
+W-invariant (Jantzen, Lectures on Quantum Groups, ch. 5), and W(B_n)
+permutes the coordinates and changes their signs.  The closure weight of a
+column (rep.closure_weight) is a signed power of q, linear in the column's
+total weight, with a sign that does not depend on the column.  Hence
 
   Tr_q = sum over columns of dominant weight mu of
          diag(column) * sum_{nu in W mu} closure(nu),
 
 and only the dominant-weight columns are propagated (40 of 512 for three
-strands at n = 3).  The last crossing of a word is not applied in full: only
-the diagonal entry of its image is read off.  This dominant-state trace
-kernel (crossing_step, closing_diagonal, weighted_trace) also takes the
-trace of schur's sl_N weight-space route.  Three normalizations are
-exposed:
+strands at n = 3).  rep.dominant_keys builds them without scanning the
+others, and the orbit sums come from rep.orbit_sum, shared with schur.  The
+last crossing of a word is not applied in full: only the diagonal entry of
+its image is read off.  This dominant-state trace kernel (crossing_step,
+closing_diagonal, weighted_trace) also takes the trace of schur's sl_N
+weight-space route.  Three normalizations are exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
             an m-strand identity braid gives the m-th power of the signed
@@ -45,7 +45,7 @@ import re
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, binom2, report_entry
-from .rep import closure_weight, dominant_keys, doubled_weight
+from .rep import closure_orbit_sum, dominant_keys, doubled_weight
 
 
 class BraidWord:
@@ -159,19 +159,11 @@ def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
 
 @lru_cache(maxsize=16)
 def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
-    """The start columns of S^(x)m whose total weight mu is dominant
-    (mu_1 >= ... >= mu_n >= 0), each mapped to sum_{nu in W mu} closure(nu).
-    Weights are kept doubled (2 wt(x_B)_j = -1 if j in B else +1)."""
+    """The start columns of S^(x)m of dominant total weight mu, in order, each
+    mapped to sum_{nu in W mu} closure(nu), with weights doubled (rep.doubled_weight)."""
     dominant = {column: doubled_weight(column, n) for column in dominant_keys(m, n)}
-    orbit_sum = {}
-    for wt in set(dominant.values()):
-        orbit = {
-            tuple(s * x for s, x in zip(signs, perm))
-            for perm in itertools.permutations(wt)
-            for signs in itertools.product((1, -1), repeat=n)
-        }
-        orbit_sum[wt] = sum((closure_weight(nu, m, n) for nu in orbit), LaurentPoly.zero())
-    return {column: orbit_sum[wt] for column, wt in dominant.items()}
+    sums = {wt: closure_orbit_sum(wt, m, n) for wt in set(dominant.values())}
+    return {column: sums[wt] for column, wt in dominant.items()}
 
 
 # -- the dominant-state trace kernel, shared with schur's weight-space route -------
@@ -278,19 +270,11 @@ def eval_spin(
         return raw
     e = braid.exponent_sum
     if normalization == "unframed":
-        nu = stabilization_factor(n)
-        return raw * _power(nu.inv() if e >= 0 else nu, abs(e))
+        return raw * GradedScalar(0, stabilization_factor(n).body ** -e)
     if normalization == "intro":
         sign = (-1) ** (n * e + braid.strands * binom2(n + 1))
         return raw * GradedScalar(0, LaurentPoly.v_pow(-n * e, sign))
     raise ValueError(f"unknown normalization {normalization!r}")
-
-
-def _power(x: GradedScalar, k: int) -> GradedScalar:
-    out = GradedScalar.one()
-    for _ in range(k):
-        out = out * x
-    return out
 
 
 def _tuples(dim: int, m: int):

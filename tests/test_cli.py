@@ -363,6 +363,20 @@ class TestInputValidation:
         assert code == 2
         assert out == "" and f"unknown operator {name!r}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ("poly", "spin", "--n", "2", "--braid", "99999999999999999999"),
+            ("poly", "spin", "--n", "2", "--strands", "99999999999999999999"),
+            ("poly", "spin", "--n", "99999999999999999999", "--braid", "1"),
+            ("dump", "cup", "--n", "99999999999999999999"),
+        ),
+    )
+    def test_size_past_ssize_t_is_an_error_not_a_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err == "error: the input is too large to evaluate\n"
+
     def test_x_index_above_rank_is_zero(self, capsys):
         code, out, _ = run(capsys, "dump", "x9", "--n", "1")
         assert code == 0

@@ -1,5 +1,6 @@
 """Tests for the spin representation, V_1, cups/caps, Y_1, and H."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from spinlink.rep import (
     cup_1,
     cup_n,
     dominant_keys,
+    doubled_weight,
     is_dominant,
     is_intertwiner,
     lusztig_T,
@@ -95,6 +97,13 @@ class TestSpinAction:
         # 40 of the 512 columns of S^(x)3 at n = 3: all that relation_suite compares
         assert [len(dominant_keys(3, n)) for n in RANKS] == [4, 13, 40]
         assert dominant_keys(3, 1) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        # four strands at n = 4 and 5, built without scanning the 16^4 and 32^4 keys
+        assert len(dominant_keys(4, 4)) == 3983 and len(dominant_keys(4, 5)) == 25263
+
+    @pytest.mark.parametrize("m, n", [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12])
+    def test_dominant_keys_equal_the_filtered_product(self, m, n):
+        keys = itertools.product(range(1 << n), repeat=m)
+        assert dominant_keys(m, n) == [k for k in keys if is_dominant(doubled_weight(k, n))]
 
 
 class TestQJ:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from spinlink import schur
 from spinlink.qalg import GradedScalar, LaurentPoly, poly_divexact, qbinom, qint
+from spinlink.rep import orbit_sum
 from spinlink.schur import (
     SchurElement,
     bilinear_form,
@@ -307,6 +309,21 @@ class TestWeightSpaceRoute:
                     assert sum((w for _, w in states), LaurentPoly.zero()) == base, (N, a)
         assert len(schur._dominant_states((4, 4, 4), 8)) == 1495
 
+    def test_orbit_sum_equals_permutation_sum(self):
+        # every row-size vector of a dominant state at N <= 6, against the
+        # sum over its distinct rearrangements
+        for N in range(1, 7):
+            two_rho = tuple(range(N - 1, -N, -2))
+            sizes = set()
+            for m in (1, 2, 3):
+                for a in itertools.product(range(N + 1), repeat=m):
+                    for columns, _ in schur._dominant_states(a, N):
+                        sizes.add(tuple(sum(col >> r & 1 for col in columns) for r in range(N)))
+            for nu in sizes:
+                orbit = set(itertools.permutations(nu))
+                want = sum((LaurentPoly.q_pow(sum(map(operator.mul, two_rho, p))) for p in orbit), LaurentPoly.zero())
+                assert orbit_sum(nu, two_rho, False) == want, (N, nu)
+
     @pytest.mark.parametrize("N", (2, 3, 4))
     def test_equals_annular_on_short_words(self, N):
         for b in _all_words(3, 4):
@@ -342,7 +359,7 @@ class TestWeightSpaceRoute:
         assert _at_one(value) == 27
 
     def test_operator_caches_are_bounded(self):
-        for fn in (schur._crossing, schur._dominant_states, schur._orbit_weight, schur._binom_merge):
+        for fn in (schur._crossing, schur._dominant_states, orbit_sum, schur._binom_merge):
             assert fn.cache_info().maxsize is not None
 
 
