@@ -15,9 +15,12 @@ Kamnitzer-Morrison): (x)_j Lambda_q^{a_j}(C^N) is the weight-a space of the
 U_q(gl_m)-module (Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse
 operator, and the pairing is the quantum trace of their product.  The
 operator commutes with U_q(gl_N), so only states of dominant gl_N weight
-are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum).  The
-orbit sum and the dominant-state trace kernel (spinpoly.weighted_trace)
-are shared with the spin route; the cost is linear in the crossings.
+are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum, shared
+with the spin route).  The dominant-state trace kernel (crossing_step,
+closing_diagonal, weighted_trace) multiplies {v-exponent: coeff} dicts: the
+image of a column pair is built the first time a state reaches it, so there
+is no table to pack up front as spinpoly does.  The cost is linear in the
+crossings.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -38,7 +41,7 @@ from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
 from .rep import circle_value, orbit_sum
-from .spinpoly import BraidWord, weighted_trace
+from .spinpoly import BraidWord
 
 GlWeight = tuple[int, ...]
 Letter = tuple[str, int, int]  # ("E"|"F", color, power >= 1)
@@ -372,9 +375,70 @@ def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], Lauren
     return tuple(states)
 
 
+# -- the dominant-state trace kernel ------------------------------------------------
+#
+# A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
+# is the {pair': LaurentPoly} image of the pair on those strands (None or empty
+# if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
+# are accumulated in place, and a LaurentPoly is built only for the diagonal.
+
+
+def crossing_step(vec: dict, i: int, image) -> dict:
+    """One crossing on strands i, i+1 applied to a sparse vector of states."""
+    new: dict = {}
+    for key, coeff in vec.items():
+        img = image(key[i - 1 : i + 1])
+        if not img:
+            continue
+        head, tail, terms = key[: i - 1], key[i + 1 :], coeff.items()
+        for pair, c in img.items():
+            acc = new.setdefault(head + pair + tail, {})
+            for e1, c1 in c.c.items():
+                for e2, c2 in terms:
+                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    out = {}
+    for key, acc in new.items():
+        acc = {e: c for e, c in acc.items() if c}
+        if acc:
+            out[key] = acc
+    return out
+
+
+def closing_diagonal(vec: dict, i: int, image, start: tuple) -> LaurentPoly:
+    """The entry at `start` of crossing_step(vec, i, image), read off without
+    building the rest of the vector: the last crossing of a word only feeds
+    the diagonal, so only the keys that agree with start outside strands i,
+    i+1 are looked up, each at its image entry on start's pair."""
+    head, tail, target = start[: i - 1], start[i + 1 :], start[i - 1 : i + 1]
+    acc: dict = {}
+    for key, coeff in vec.items():
+        if key[: i - 1] == head and key[i + 1 :] == tail:
+            c = (image(key[i - 1 : i + 1]) or {}).get(target)
+            if c is not None:
+                for e1, c1 in c.c.items():
+                    for e2, c2 in coeff.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(acc)
+
+
+def weighted_trace(crossings: list, states) -> LaurentPoly:
+    """The sum over (start, weight) in states of weight times the diagonal
+    entry at start of the crossings' product; the first crossing acts first."""
+    if not crossings:
+        return sum((weight for _, weight in states), LaurentPoly.zero())
+    *body, (i, image) = crossings
+    total = LaurentPoly.zero()
+    for start, weight in states:
+        vec = {start: {0: 1}}
+        for j, img in body:
+            vec = crossing_step(vec, j, img)
+        total = total + closing_diagonal(vec, i, image, start) * weight
+    return total
+
+
 def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
     """The quantum trace of the braid's operator on the weight-a space, by the
-    dominant-state kernel of spinpoly (the operator commutes with U_q(gl_N),
+    dominant-state kernel (the operator commutes with U_q(gl_N),
     so the trace on a gl_N weight space is S_N-invariant).  The first letter
     acts first."""
     crossings = []

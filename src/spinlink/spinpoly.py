@@ -20,9 +20,20 @@ and only the dominant-weight columns are propagated (40 of 512 for three
 strands at n = 3).  rep.dominant_keys builds them without scanning the
 others, and the orbit sums come from rep.orbit_sum, shared with schur.  The
 last crossing of a word is not applied in full: only the diagonal entry of
-its image is read off.  This dominant-state trace kernel (crossing_step,
-closing_diagonal, weighted_trace) also takes the trace of schur's sl_N
-weight-space route.  Three normalizations are exposed:
+its image is read off, and the diagonals of the columns that share an orbit
+sum are added before that sum multiplies them.
+
+Coefficients are packed (Kronecker substitution): a vector maps states to
+ints, each a Laurent polynomial evaluated at the v-slot t = 2^B after each
+sign's crossing data is shifted by its lowest exponent and its exponents are
+counted in steps of their gcd.  A crossing step is one int multiply-add per
+(state, image entry), on pair-level tables packed once per (n, sign, B).
+B comes from a bound computed per word: the all-ones vector of each orbit-
+sum class pushed through the entrywise l1 norms of the crossing data.  The
+class sums are decoded by balanced base-2^B digits, exactly when every
+coefficient is below 2^(B-1) in absolute value, which the bound ensures.
+schur's sl_N weight-space route keeps its own {v-exponent: coeff} kernel.
+Three normalizations are exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
             an m-strand identity braid gives the m-th power of the signed
@@ -43,6 +54,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from math import gcd
 
 from .qalg import GradedScalar, LaurentPoly, binom2, report_entry
 from .rep import closure_orbit_sum, dominant_keys, doubled_weight
@@ -107,7 +119,7 @@ class BraidParseError(ValueError):
         self.position = position
 
 
-_TOKEN = re.compile(r"^(?:s(\d+)(\^-1)?|(-?\d+))$")
+_TOKEN = re.compile(r"^(?:s(\d+)(\^-1)?|([+-]?\d+))$")
 
 
 def parse_braid(text: str, strands: int | None = None) -> BraidWord:
@@ -150,10 +162,16 @@ def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
     """The braiding (sign 1) or its inverse (sign -1) on S (x) S as its
     column map (a, b) -> {(c, d) -> LaurentPoly}, plus its denominator,
     which is 1: the braiding is a Laurent combination of the X^(k), whose
-    entries are Laurent.  Any other denominator raises ValueError."""
+    entries are Laurent with integer coefficients.  Any other denominator or
+    coefficient raises ValueError."""
+    # tables packed from earlier crossing data must not outlive it
+    _slot_layout.cache_clear()
+    _packed_crossings.cache_clear()
     op = braiding(n, _x_family(n), sign)
     if not op.den.is_one():
         raise ValueError(f"the braiding at n={n} has denominator {op.den}, not 1")
+    if any(type(c) is not int for col in op.cols.values() for p in col.values() for c in p.c.values()):
+        raise ValueError(f"the braiding at n={n} has a coefficient that is not an integer")
     return op.cols, op.den
 
 
@@ -166,78 +184,142 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
     return {column: sums[wt] for column, wt in dominant.items()}
 
 
-# -- the dominant-state trace kernel, shared with schur's weight-space route -------
+# -- packed coefficients ------------------------------------------------------------
 #
-# A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
-# is the {pair': LaurentPoly} image of the pair on those strands (None or empty
-# if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
-# are accumulated in place, and a LaurentPoly is built only for the diagonal.
+# A vector is {state: int}.  Evaluation at t = 2^bits is a ring homomorphism
+# Z[t] -> Z, so a product of two polynomials is one product of two ints,
+# intermediate size never matters, and an entry that is 0 in Z may be dropped.
 
 
-def crossing_step(vec: dict, i: int, image) -> dict:
-    """One crossing on strands i, i+1 applied to a sparse vector of states."""
+def _pack(poly: LaurentPoly, low: int, step: int, bits: int) -> int:
+    """poly / v^low evaluated at v^step = 2^bits (every exponent is low plus a
+    nonnegative multiple of step; coefficients are integers)."""
+    return sum(c << bits * ((e - low) // step) for e, c in poly.c.items())
+
+
+def _unpack(x: int, bits: int, offset: int, step: int) -> LaurentPoly:
+    """The Laurent polynomial whose coefficient at v^(offset + step k) is the k-th
+    balanced base-2^bits digit of x (each in [-2^(bits-1), 2^(bits-1)))."""
+    coeffs, mask, half = {}, (1 << bits) - 1, 1 << bits - 1
+    e = offset
+    while x:
+        digit = x & mask
+        if digit >= half:
+            digit -= 1 << bits
+        if digit:
+            coeffs[e] = digit
+        x = (x - digit) >> bits
+        e += step
+    return LaurentPoly(coeffs)
+
+
+def _slot_bits(bound: int) -> int:
+    """A slot width that decodes every coefficient of absolute value at most
+    bound, rounded up to a multiple of 8 so that words share packed tables."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
+@lru_cache(maxsize=4)
+def _slot_layout(n: int) -> tuple[int, dict[int, int], dict[int, dict]]:
+    """How both signs' crossing data is packed: the slot step (the gcd of the
+    exponent gaps, 2 at every n <= 5), each sign's lowest exponent, and each
+    sign's pair-level table with every entry replaced by the sum of the
+    absolute values of its coefficients (the majorant of _word_bits)."""
+    data = {s: _crossing_data(n, s)[0] for s in (1, -1)}
+    exponents = {s: [e for col in cols.values() for p in col.values() for e in p.c] for s, cols in data.items()}
+    low = {s: min(es) for s, es in exponents.items()}
+    step = gcd(*(e - low[s] for s, es in exponents.items() for e in es)) or 1
+    norms = {s: {pair: {image: sum(map(abs, p.c.values())) for image, p in col.items()} for pair, col in cols.items()}
+             for s, cols in data.items()}
+    return step, low, norms
+
+
+def _layout(n: int) -> tuple[int, dict[int, int], dict[int, dict]]:
+    """_slot_layout(n), read after _crossing_data(n, +-1): a rebuild of the
+    crossing data drops every table packed from the old one."""
+    for s in (1, -1):
+        _crossing_data(n, s)
+    return _slot_layout(n)
+
+
+@lru_cache(maxsize=16)
+def _packed_crossings(n: int, sign: int, bits: int) -> dict[tuple, dict[tuple, int]]:
+    """The crossing data of one sign as a pair-level table pair -> {pair': int},
+    each entry packed at the v-slot 2^bits."""
+    step, low, _ = _slot_layout(n)
+    return {pair: {image: _pack(p, low[sign], step, bits) for image, p in col.items()}
+            for pair, col in _crossing_data(n, sign)[0].items()}
+
+
+def _step(vec: dict, i: int, table: dict) -> dict:
+    """One crossing on strands i, i+1 applied to a vector {state: int}: one
+    multiply-add per (state, image entry).  Entries that are 0 are skipped."""
     new: dict = {}
-    for key, coeff in vec.items():
-        img = image(key[i - 1 : i + 1])
-        if not img:
-            continue
-        head, tail, terms = key[: i - 1], key[i + 1 :], coeff.items()
-        for pair, c in img.items():
-            acc = new.setdefault(head + pair + tail, {})
-            for e1, c1 in c.c.items():
-                for e2, c2 in terms:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    out = {}
-    for key, acc in new.items():
-        acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            out[key] = acc
-    return out
+    get = new.get
+    for key, x in vec.items():
+        if x:
+            head, tail = key[: i - 1], key[i + 1 :]
+            for pair, c in table[key[i - 1 : i + 1]].items():
+                state = head + pair + tail
+                new[state] = get(state, 0) + c * x
+    return new
 
 
-def closing_diagonal(vec: dict, i: int, image, start: tuple) -> LaurentPoly:
-    """The entry at `start` of crossing_step(vec, i, image), read off without
-    building the rest of the vector: the last crossing of a word only feeds
-    the diagonal, so only the keys that agree with start outside strands i,
-    i+1 are looked up, each at its image entry on start's pair."""
+def _diagonal(vec: dict, i: int, table: dict, start: tuple) -> int:
+    """The entry at `start` of _step(vec, i, table), read off without building
+    the rest of the vector: the last crossing of a word only feeds the diagonal."""
     head, tail, target = start[: i - 1], start[i + 1 :], start[i - 1 : i + 1]
-    acc: dict = {}
-    for key, coeff in vec.items():
+    total = 0
+    for key, x in vec.items():
         if key[: i - 1] == head and key[i + 1 :] == tail:
-            c = (image(key[i - 1 : i + 1]) or {}).get(target)
-            if c is not None:
-                for e1, c1 in c.c.items():
-                    for e2, c2 in coeff.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return LaurentPoly(acc)
-
-
-def weighted_trace(crossings: list, states) -> LaurentPoly:
-    """The sum over (start, weight) in states of weight times the diagonal
-    entry at start of the crossings' product; the first crossing acts first."""
-    if not crossings:
-        return sum((weight for _, weight in states), LaurentPoly.zero())
-    *body, (i, image) = crossings
-    total = LaurentPoly.zero()
-    for start, weight in states:
-        vec = {start: {0: 1}}
-        for j, img in body:
-            vec = crossing_step(vec, j, img)
-        total = total + closing_diagonal(vec, i, image, start) * weight
+            total += table[key[i - 1 : i + 1]].get(target, 0) * x
     return total
 
 
+def _word_bits(norms: dict, crossings: list, classes) -> int:
+    """The slot width for one word: each class's all-ones vector pushed through
+    the majorant of every crossing (the table of coefficient norms), and the
+    largest sum of the result bounds every coefficient of that class's diagonal
+    sum, since the l1 norm of polynomials is submultiplicative."""
+    bound = 0
+    for columns in classes:
+        vec = dict.fromkeys(columns, 1)
+        for i, sign in crossings:
+            vec = _step(vec, i, norms[sign])
+        bound = max(bound, sum(vec.values()))
+    return _slot_bits(bound)
+
+
 def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
-    """Tr_q of the braid operator: the diagonal entry of every dominant-weight
-    start column, weighted with its orbit closure sum."""
+    """Tr_q of the braid operator: the diagonal entries of the dominant-weight
+    start columns, summed per orbit closure weight on packed coefficients, and
+    each sum weighted once."""
     m = braid.strands
     weights = _orbit_closure(n, m)
+    classes: dict[LaurentPoly, list] = {}
+    for column in _tuples(1 << n, m):
+        if column in weights:
+            classes.setdefault(weights[column], []).append(column)
+    if not braid.letters:
+        return GradedScalar(0, sum((w.scale(len(cols)) for w, cols in classes.items()), LaurentPoly.zero()))
     # the crossing data is only built when a word needs it
-    cols = {s: _crossing_data(n, s)[0] for s in (1, -1)} if braid.letters else {}
+    step, low, norms = _layout(n)
     # operator product in word order: the rightmost letter acts first
-    crossings = [(i, cols[sign].get) for i, sign in reversed(braid.letters)]
-    states = ((column, weights[column]) for column in _tuples(1 << n, m) if column in weights)
-    return GradedScalar(0, weighted_trace(crossings, states))
+    crossings = list(reversed(braid.letters))
+    bits = _word_bits(norms, crossings, classes.values())
+    tables = {s: _packed_crossings(n, s, bits) for s in (1, -1)}
+    offset = sum(low[sign] for _, sign in braid.letters)
+    *body, (i, sign) = crossings
+    total = LaurentPoly.zero()
+    for w, columns in classes.items():
+        diagonal = 0
+        for start in columns:
+            vec = {start: 1}
+            for j, s in body:
+                vec = _step(vec, j, tables[s])
+            diagonal += _diagonal(vec, i, tables[sign], start)
+        total = total + _unpack(diagonal, bits, offset, step) * w
+    return GradedScalar(0, total)
 
 
 def stabilization_factor(n: int) -> GradedScalar:
@@ -292,33 +374,39 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     maximal length only reads off the diagonal entry.  The diagonals of the
     columns that share an orbit weight are summed first, and each word's sum
     is multiplied by that weight once (4 weights for 40 columns at m = 3,
-    n = 3).
+    n = 3).  One slot width serves every word: a word's class sum is at most
+    the number of dominant columns times the largest column norm of the
+    majorant to the power max_len.
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
-    images = {s: _crossing_data(n, s)[0].get for s in (1, -1)}
     by_weight: dict[LaurentPoly, list] = {}
     for column, w in _orbit_closure(n, m).items():
         by_weight.setdefault(w, []).append(column)
+    step, low, norms = _layout(n)
+    column_norm = max(sum(col.values()) for table in norms.values() for col in table.values())
+    bits = _slot_bits(sum(map(len, by_weight.values())) * column_norm ** max_len)
+    tables = {s: _packed_crossings(n, s, bits) for s in (1, -1)}
 
     zero = LaurentPoly.zero()
     totals: dict[tuple, LaurentPoly] = {}
     for w, columns in by_weight.items():
-        sums: dict[tuple, LaurentPoly] = {}
+        sums: dict[tuple, int] = {}
         for column in columns:
-            stack = [((), {column: {0: 1}})]
+            stack = [((), {column: 1})]
             while stack:
                 word, vec = stack.pop()
-                sums[word] = sums.get(word, zero) + LaurentPoly(vec.get(column))
+                sums[word] = sums.get(word, 0) + vec.get(column, 0)
                 if len(word) == max_len:
                     continue
                 for i, sign in gens:
                     child = ((i, sign),) + word
                     if len(child) < max_len:
-                        stack.append((child, crossing_step(vec, i, images[sign])))
+                        stack.append((child, _step(vec, i, tables[sign])))
                     else:
-                        sums[child] = sums.get(child, zero) + closing_diagonal(vec, i, images[sign], column)
+                        sums[child] = sums.get(child, 0) + _diagonal(vec, i, tables[sign], column)
         for word, total in sums.items():
-            totals[word] = totals.get(word, zero) + total * w
+            offset = sum(low[sign] for _, sign in word)
+            totals[word] = totals.get(word, zero) + _unpack(total, bits, offset, step) * w
     return {word: GradedScalar(0, total) for word, total in totals.items()}
 
 

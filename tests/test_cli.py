@@ -57,6 +57,12 @@ class TestPolySpin:
         assert code == 2
         assert "parse error" in err
 
+    def test_explicit_plus_sign(self, capsys):
+        code, out, err = run(capsys, "poly", "spin", "--n", "1", "--braid", "1 +2", "--format", "json")
+        assert code == 0, err
+        _, want, _ = run(capsys, "poly", "spin", "--n", "1", "--braid", "1 2", "--format", "json")
+        assert out == want
+
     def test_symbolic_rank_guard(self, capsys):
         code, _, err = run(capsys, "poly", "spin", "--n", "4", "--braid", "s1", "--engine", "symbolic")
         assert code == 2

@@ -6,18 +6,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinlink import cli, spinpoly
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, qint
-from spinlink.schur import eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
+from spinlink.schur import crossing_step, eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
 from spinlink.rep import circle_value, complement, is_dominant, qJ, subset_iter
 from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
     _crossing_data,
     _orbit_closure,
+    _pack,
     _raw_trace,
-    crossing_step,
+    _slot_bits,
+    _unpack,
     eval_spin,
     markov_suite,
     parse_braid,
@@ -242,6 +246,118 @@ class TestWeylOrbitReduction:
             assert _raw_trace(braid, n) == GradedScalar(0, total)
 
 
+def _all_column_trace(braid, n):
+    """Tr_q by the oracle: every column's diagonal times its closure weight."""
+    mu = _mu_monomials(n)
+    total = LaurentPoly.zero()
+    for column, diag in _all_column_diagonals(braid, n).items():
+        total = total + math.prod((mu[B] for B in column), start=diag)
+    return GradedScalar(0, total)
+
+
+class TestPackedRoute:
+    """The packed matrix route against the exponent-dict oracle, where the slot
+    width is widest and at the edges of the input."""
+
+    @pytest.mark.parametrize("n, m, lengths", ((1, 3, (12, 14, 16)), (2, 3, (12, 14, 16)), (3, 3, (12,)),
+                                                (2, 4, (6, 8))))
+    def test_long_words_equal_all_column_sum(self, n, m, lengths):
+        rng = random.Random(977 * n + m)
+        for length in lengths:
+            letters = tuple((rng.randint(1, m - 1), rng.choice([1, -1])) for _ in range(length))
+            braid = BraidWord(m, letters)
+            assert _raw_trace(braid, n) == _all_column_trace(braid, n), letters
+
+    # the smallest margin, slot width minus the bits the class sums need, among 636
+    # random words at n <= 3, m <= 4 with a width of at least 16 bits: 9 bits
+    TIGHTEST = ((2, 3, ((1, 1), (2, -1), (1, 1), (1, 1), (2, -1), (2, -1), (2, 1), (2, -1))),
+                (2, 4, ((3, -1), (2, 1), (1, -1), (3, 1), (2, 1), (3, -1))))
+
+    @pytest.mark.parametrize("n, m, letters", TIGHTEST)
+    def test_tightest_words_equal_all_column_sum(self, n, m, letters):
+        assert _raw_trace(BraidWord(m, letters), n) == _all_column_trace(BraidWord(m, letters), n)
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    @pytest.mark.parametrize("m", (1, 3))
+    def test_empty_words(self, n, m):
+        assert _raw_trace(BraidWord(m, ()), n) == _all_column_trace(BraidWord(m, ()), n)
+
+    # Tr_q of sigma_1 on S (x) S, as the exponent-dict route computed it: v-exponent -> coefficient
+    ONE_LETTER = {
+        4: dict.fromkeys((4, 8, 16, 20, 24, 28, 32, 40, 44, 48, 52, 56, 64, 68), 1) | {36: 2},
+        5: dict.fromkeys((5, 9, 17, 21, 25, 29, 33, 49, 61, 77, 81, 85, 89, 93, 101, 105), 1)
+        | dict.fromkeys((37, 41, 45, 53, 57, 65, 69, 73), 2),
+    }
+
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_one_letter_at_high_rank(self, n):
+        want = LaurentPoly(self.ONE_LETTER[n])
+        assert _raw_trace(BraidWord(2, ((1, 1),)), n) == GradedScalar(0, want)
+        assert _raw_trace(BraidWord(2, ((1, -1),)), n) == GradedScalar(0, want.bar())
+
+
+def _slotted(low, step, bits, max_terms):
+    """Polynomials whose exponents are low plus multiples of step, with
+    coefficients that fit a slot of the given width, the extremes included."""
+    top = (1 << bits - 1) - 1
+    coeff = st.one_of(st.sampled_from((top, -top, 1, -1)), st.integers(-top, top))
+    slots = st.dictionaries(st.integers(0, 40), coeff, max_size=max_terms)
+    return slots.map(lambda d: LaurentPoly({low + step * k: c for k, c in d.items()}))
+
+
+@st.composite
+def _packable(draw):
+    bits, step, low = draw(st.sampled_from((8, 16, 48))), draw(st.integers(1, 3)), draw(st.integers(-30, 30))
+    return draw(_slotted(low, step, bits, 12)), low, step, bits
+
+
+@st.composite
+def _letters(draw):
+    """A few letters of mixed sign, each sign with its own lowest exponent."""
+    step = draw(st.integers(1, 3))
+    low = {1: draw(st.integers(-30, 0)), -1: draw(st.integers(-5, 5))}
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=1, max_size=5))
+    return step, [(low[s], draw(_slotted(low[s], step, 3, 4))) for s in signs]
+
+
+class TestPackedCoefficients:
+    """The codec of the matrix route: Laurent polynomials packed at the v-slot
+    2^bits and decoded by balanced base-2^bits digits."""
+
+    @given(_packable())
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, case):
+        poly, low, step, bits = case
+        assert _unpack(_pack(poly, low, step, bits), bits, low, step) == poly
+
+    @pytest.mark.parametrize("bits", (8, 16, 64))
+    def test_extreme_digits_of_alternating_sign(self, bits):
+        top = (1 << bits - 1) - 1
+        poly = LaurentPoly({-6 + 2 * k: (-1) ** k * top for k in range(9)})
+        assert _unpack(_pack(poly, -6, 2, bits), bits, -6, 2) == poly
+
+    def test_zero_and_sparse(self):
+        assert _pack(LaurentPoly.zero(), 0, 2, 16) == 0 and _unpack(0, 16, -4, 2) == LaurentPoly.zero()
+        sparse = LaurentPoly({-3: 1, 997: -1})
+        assert _unpack(_pack(sparse, -3, 2, 8), 8, -3, 2) == sparse
+
+    @given(_letters())
+    @settings(max_examples=200, deadline=None)
+    def test_products_keep_the_exponent_offset(self, case):
+        step, letters = case
+        want, norm = LaurentPoly.one(), 1
+        for _, poly in letters:
+            want, norm = want * poly, norm * sum(map(abs, poly.c.values()))
+        bits = _slot_bits(norm)
+        got = math.prod(_pack(poly, low, step, bits) for low, poly in letters)
+        assert _unpack(got, bits, sum(low for low, _ in letters), step) == want
+
+    @given(st.integers(0, 1 << 80))
+    def test_slot_width_holds_the_bound(self, bound):
+        bits = _slot_bits(bound)
+        assert bits % 8 == 0 and bound < 1 << bits - 1
+
+
 class TestStabilization:
     @pytest.mark.parametrize("n", (1, 2))
     def test_factor_on_unknot(self, n):
@@ -311,6 +427,28 @@ class TestProductionRoute:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: the braiding at n=1 has denominator")
         assert "Traceback" not in out.err
+
+    def test_no_packed_table_outlives_its_crossing_data(self, fresh_crossing_data, monkeypatch):
+        braid = BraidWord(3, ((1, 1), (2, -1), (1, 1)))
+        want = _raw_trace(braid, 2)
+        _crossing_data.cache_clear()
+        braiding = spinpoly.braiding
+        monkeypatch.setattr(spinpoly, "braiding",
+                            lambda n, fam, sign: braiding(n, fam, sign).scale(RatFunc(LaurentPoly.const(-1))))
+        assert _raw_trace(braid, 2) == -want
+        assert spinpoly.sweep_raw_traces(3, 2, 3)[braid.letters] == -want
+
+    def test_a_fractional_coefficient_is_an_error(self, fresh_crossing_data, monkeypatch):
+        braiding, half = spinpoly.braiding, RatFunc(LaurentPoly.const(Fraction(1, 2)))
+        monkeypatch.setattr(spinpoly, "braiding", lambda n, fam, sign: braiding(n, fam, sign).scale(half))
+        with pytest.raises(ValueError, match="not an integer"):
+            _raw_trace(BraidWord(2, ((1, 1),)), 1)
+
+    def test_caches_are_bounded(self):
+        caches = {name for name, fn in vars(spinpoly).items() if hasattr(fn, "cache_info")}
+        assert {"_x_family", "_crossing_data", "_orbit_closure", "_slot_layout", "_packed_crossings"} <= caches
+        for name in caches:
+            assert getattr(spinpoly, name).cache_info().maxsize is not None, name
 
     def test_crossing_data_does_not_call_the_trivalent_route(self, monkeypatch):
         from spinlink import rep, spinpoly, xcalc

@@ -1,13 +1,18 @@
-"""The benchmark's layer tracer wraps spinlink functions by name.
+"""The benchmark's layer tracer wraps spinlink functions by name, and its
+runs check every value against a stored reference.
 
 A renamed or deleted function makes `perfbench/tracer.py`'s `install` raise,
-which breaks every traced benchmark run; this test catches that in tier-1.
+which breaks every traced benchmark run; these tests catch that in tier-1,
+and a changed value of the spin matrix route on either pool of words.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,3 +50,14 @@ def test_the_installed_tracer_runs_every_route():
     proc = subprocess.run([sys.executable, "-c", TRACED_RUN], cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("pool", ("default", "heldout"))
+def test_the_benchmark_checks_the_spin_matrix_route(pool):
+    # every value of the pool against its stored reference, in fresh interpreters
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "spin-matrix", "--seed", "1", "--seconds", "0",
+           "--pool", pool]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result
