@@ -91,9 +91,9 @@ def _suite_clifford(args) -> list[dict]:
 
 
 def _suite_xcalc(args) -> list[dict]:
-    from . import xcalc
+    from . import iqsym, xcalc
 
-    xcalc.relation_table(args.n)  # a rank without tables is refused before any check runs
+    iqsym.relation_table(args.n)  # a rank without tables is refused before any check runs
     items = []
     for n in range(1, args.n + 1):
         try:

@@ -130,11 +130,6 @@ def one_strand_product(a: int, b: int, n: int) -> tuple[tuple[int, LaurentPoly],
     return tuple(reversed(out))
 
 
-def x_mult_table(n: int) -> dict[tuple[int, int], dict[int, LaurentPoly]]:
-    """The full (n+1) x (n+1) multiplication table of the X^(k) letters."""
-    return {(a, b): dict(one_strand_product(a, b, n)) for a in range(n + 1) for b in range(n + 1)}
-
-
 # -- three-strand relation tables ------------------------------------------------
 
 

@@ -347,6 +347,48 @@ def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly({e + shift: c * scale for e, c in q.items()})
 
 
+def poly_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """a / b if b divides a, else None, for b in canonical form: integer
+    coefficients with content 1, a positive leading coefficient and
+    valuation 0, as every denominator of a RatFunc or an operator is.  b is
+    used as it stands, so dividing many entries by one denominator puts it
+    in that form only once, where it is made.
+
+    Long division of a's integer multiple: b is primitive, so if b divides
+    an integer polynomial the quotient is integral (Gauss's lemma), and a
+    quotient coefficient that is not an integer proves b does not divide."""
+    x, y = a.c, b.c
+    if not x:
+        return _ZERO
+    scale = 1
+    if any(type(c) is not int for c in x.values()):
+        import math
+
+        for c in x.values():
+            d = Fraction(c).denominator
+            scale = scale * d // math.gcd(scale, d)
+        x = {e: int(c * scale) for e, c in x.items()}
+    else:
+        x = dict(x)
+    dy = max(y)
+    ly, lo = y[dy], min(x) + dy  # an exact quotient has valuation min(a), so no remainder term lies below lo
+    q: dict[int, Coeff] = {}
+    while x:
+        dx = max(x)
+        if dx < lo:
+            return None
+        f, rem = divmod(x[dx], ly)
+        if rem:
+            return None
+        q[dx - dy] = f
+        _eliminate(x, y, dx - dy, f)
+    if scale != 1:
+        q = {e: _norm_coeff(Fraction(c, scale)) for e, c in q.items()}
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.c = q
+    return out
+
+
 class RatFunc:
     """A ratio of Laurent polynomials in canonical reduced form.
 

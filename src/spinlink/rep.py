@@ -67,12 +67,6 @@ def weight(J: int, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(-1, 2) if J >> (i - 1) & 1 else Fraction(1, 2) for i in range(1, n + 1))
 
 
-def is_dominant(wt: tuple) -> bool:
-    """Whether a weight (in the eps basis, any scale) is dominant for
-    so(2n+1): wt_1 >= ... >= wt_n >= 0."""
-    return wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:]))
-
-
 def doubled_weight(key: Key, n: int) -> tuple[int, ...]:
     """Twice the total weight of a basis key of S^(x)m: coordinate j is the
     number of factors without j minus the number with j."""
@@ -165,8 +159,11 @@ class LinOp:
     lcm of the entries' reduced denominators (1 when every entry is a
     Laurent polynomial, which costs nothing to keep).  Equality is therefore
     structural, and products, sums and scalings multiply and add Laurent
-    polynomials; only a nontrivial den is ever reduced by a gcd.  entry()
-    and set_entry() read and write an entry's value, never its numerator.
+    polynomials.  Only a nontrivial den is ever reduced, and by exact
+    division: reduced divides every entry by a running divisor and takes a
+    gcd only when that divisor drops, and scale by a Laurent polynomial
+    takes one scalar gcd.  entry() and set_entry() read and write an
+    entry's value, never its numerator.
     """
 
     __slots__ = ("n", "dom", "cod", "cols", "den")
@@ -194,20 +191,36 @@ class LinOp:
     @staticmethod
     def reduced(n: int, dom: Sig, cod: Sig, cols: dict, den: LaurentPoly) -> "LinOp":
         """The operator cols / den in canonical form, for a canonical den:
-        den and every entry are divided by their common factor.  The gcd is
-        looked up in qalg at call time, so a wrapper there (the benchmark
-        tracer's qalg.poly_gcd counter) sees every call."""
+        den and every entry are divided by their common factor.
+
+        A running divisor g starts at den, and each entry is divided by it
+        exactly (qalg.poly_quotient).  Only an entry that g does not divide
+        costs a gcd: g drops to g' = gcd(g, entry), and the quotients kept
+        so far are multiplied by g / g'.  If g' is 1 the input is returned
+        as it stands.  g always divides den and every entry seen, and is a
+        multiple of their common factor, so at the end it is that factor.
+        qalg's functions are looked up at call time, so a wrapper there (the
+        benchmark tracer's qalg.poly_gcd counter) sees every call."""
         if den.is_one() or not cols:
             return LinOp(n, dom, cod, cols)
         g = den
-        for col in cols.values():
-            for v in col.values():
-                g = qalg.poly_gcd(g, v)
-                if g.is_one():
-                    return LinOp(n, dom, cod, cols, den)
-        g = _primitive(g)
-        cols = {k: {j: qalg.poly_divexact(v, g) for j, v in col.items()} for k, col in cols.items()}
-        return LinOp(n, dom, cod, cols, qalg.poly_divexact(den, g))
+        out: dict[Key, dict[Key, LaurentPoly]] = {}
+        for k, col in cols.items():
+            new = out[k] = {}
+            for j, v in col.items():
+                w = qalg.poly_quotient(v, g)
+                if w is None:
+                    h = _primitive(qalg.poly_gcd(g, v))
+                    if h.is_one():
+                        return LinOp(n, dom, cod, cols, den)
+                    ratio = qalg.poly_divexact(g, h)
+                    for done in out.values():
+                        for i, u in done.items():
+                            done[i] = u * ratio
+                    g = h
+                    w = qalg.poly_divexact(v, g)
+                new[j] = w
+        return LinOp(n, dom, cod, out, _ONE if g is den else qalg.poly_divexact(den, g))
 
     def set_entry(self, dom_key: Key, cod_key: Key, value: RatFunc | LaurentPoly) -> None:
         """Write the value of one entry; zero removes it."""
@@ -258,16 +271,30 @@ class LinOp:
         return self + other.scale(-1)
 
     def scale(self, c) -> "LinOp":
-        """c times self, for c an int, Fraction, LaurentPoly or RatFunc."""
+        """c times self, for c an int, Fraction, LaurentPoly or RatFunc.
+
+        A Laurent c costs at most one gcd, g = gcd(c, den), and the result is
+        cols * (c/g) over den/g with no reduction: c/g and den/g are coprime,
+        so an irreducible factor of den/g that divided every entry of
+        cols * (c/g) would divide every entry of cols and den, which the
+        canonical form excludes.  A monomial c is a unit (g = 1).  A RatFunc
+        with a denominator goes through reduced."""
         if isinstance(c, RatFunc):
-            num, den = c.num, c.den
-        else:
-            num, den = (c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)), _ONE
-        if not num:
+            if not c.den.is_one():
+                return LinOp.reduced(self.n, self.dom, self.cod, _cols_times(self.cols, c.num), self.den * c.den)
+            c = c.num
+        elif not isinstance(c, LaurentPoly):
+            c = LaurentPoly.const(c)
+        if not c:
             return LinOp.zero(self.dom, self.cod, self.n)
-        if num.is_one() and den.is_one():
+        if c.is_one():
             return self
-        return LinOp.reduced(self.n, self.dom, self.cod, _cols_times(self.cols, num), self.den * den)
+        den = self.den
+        if len(c.c) > 1 and not den.is_one():
+            g = _primitive(qalg.poly_gcd(c, den))
+            if not g.is_one():
+                c, den = qalg.poly_divexact(c, g), qalg.poly_divexact(den, g)
+        return LinOp(self.n, self.dom, self.cod, _cols_times(self.cols, c), den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinOp):
@@ -408,12 +435,6 @@ def spin_action(kind: str, i: int, n: int) -> LinOp:
     if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for rank {n}")
     return _factor_gen(kind, i, "S", n)
-
-
-def v1_action(kind: str, i: int, n: int) -> LinOp:
-    if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for rank {n}")
-    return _factor_gen(kind, i, "V", n)
 
 
 def coproduct_action(kind: str, i: int, sig: Sig, n: int) -> LinOp:

@@ -13,13 +13,14 @@ independent routes (iterated recursion, and Horner evaluation at X of the
 closed product polynomial of X^(k) that the symbolic engine's one-strand
 table is built from, iqsym._factor_product), provides the braiding
 (and, with sign -1, its inverse) and its strand embeddings, the quantum
-(partial) trace, the spectral idempotents of H, and a battery of exact
+partial trace, the spectral idempotents of H, and a battery of exact
 matrix identities including the three-strand relation tables and the
 trace/rotation rules, compared on dominant weight columns only
 (rep.dominant_keys); partial traces weight each closed strand with
 rep.closure_weight.  Each isotypic rank is the trace of a spectral
 idempotent, since over a field of characteristic 0 the rank of an
-idempotent equals its trace.
+idempotent equals its trace.  iqsym is imported only inside the functions
+that read its tables, so the spin matrix route never loads it.
 
 Every operator is a rep.LinOp, Laurent entries over one canonical
 denominator.  X^(k) and the braidings have denominator 1, so the X
@@ -31,13 +32,10 @@ eigenvalue-gap denominators, which are reduced once per operator.
 from __future__ import annotations
 
 from . import clifford
-from .qalg import (
-    GradedScalar, LaurentPoly, RatFunc, binom2, d_value, devil, devil_ratio, poly_divexact, qint, report_entry,
-)
+from .qalg import LaurentPoly, RatFunc, binom2, d_value, devil, devil_ratio, qint, report_entry
 from .rep import (
     LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
 )
-from .iqsym import _factor_product, _x_lead, relation_table, trace_rule_coeff
 
 _ONE = LaurentPoly.one()
 
@@ -81,6 +79,8 @@ def _x_by_recursion(n: int, x: LinOp) -> list[LinOp]:
 def _x_by_product_formula(n: int, x: LinOp, k: int) -> LinOp:
     """X^(k) from iqsym's product polynomial in X, evaluated by Horner's
     rule and scaled once by its leading factor."""
+    from .iqsym import _factor_product, _x_lead
+
     idSS = LinOp.identity(("S", "S"), x.n)
     acc = LinOp.zero(("S", "S"), ("S", "S"), x.n)
     for c in reversed(_factor_product(k)):
@@ -123,7 +123,7 @@ def r_on_strands(i: int, m: int, n: int, inverse: bool = False, fam: XFamily | N
     return r.embed(i - 1, m - i - 1, sig_keys(("S",) * m, n))
 
 
-# -- quantum traces ------------------------------------------------------------
+# -- the quantum partial trace ---------------------------------------------------
 
 
 def ptrace(op: LinOp) -> LinOp:
@@ -150,15 +150,6 @@ def ptrace(op: LinOp) -> LinOp:
                 tgt.pop(jj, None)
     cols = {k: c for k, c in cols.items() if c}
     return LinOp.reduced(n, op.dom[:-1], op.cod[:-1], cols, op.den)
-
-
-def qtrace(op: LinOp) -> GradedScalar:
-    """The full quantum trace: iterated partial closure down to a scalar."""
-    cur = op
-    while cur.dom:
-        cur = ptrace(cur)
-    value = cur.cols.get((), {}).get((), LaurentPoly.zero())
-    return GradedScalar(0, poly_divexact(value, cur.den))  # raises unless the trace is Laurent
 
 
 # -- spectral idempotents -------------------------------------------------------
@@ -199,16 +190,25 @@ def spectral_basis(n: int, fam: XFamily | None = None) -> SpectralFamily:
     h2 = h.scale(two)
     assert h2.den.is_one()
     factors = [h2 - idSS.scale((other * two).as_poly()) for other in vals]
+
+    def after(a, b):
+        return b if a is None else a if b is None else a @ b
+
+    # the Lagrange numerator F_last ... F_{j+1} F_{j-1} ... F_0 of projector j
+    # is above[j] @ below[j], from shared products of the factors on either side
+    below, above = [None], [None]
+    for f in factors[:-1]:
+        below.append(after(f, below[-1]))
+    for f in reversed(factors[1:]):
+        above.append(after(above[-1], f))
+    above.reverse()
     projs = []
     for j, lam in enumerate(vals):
-        acc = idSS
         scalar = RatFunc.one()
         for t, other in enumerate(vals):
-            if t == j:
-                continue
-            acc = factors[t] @ acc
-            scalar = scalar * ((lam - other) * two).inv()
-        projs.append(acc.scale(scalar))
+            if t != j:
+                scalar = scalar * ((lam - other) * two).inv()
+        projs.append(after(above[j], below[j]).scale(scalar))
     return SpectralFamily(n, projs[:-1], projs[-1])
 
 
@@ -375,6 +375,8 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
     witnesses and no exceptions raised on failure.  The X family is built
     here unless given; a refused H is one failed "x-family" entry.
     """
+    from .iqsym import relation_table, trace_rule_coeff
+
     report = []
 
     def entry(name, ok, witness=None):

@@ -412,7 +412,8 @@ class TestImportFootprint:
         (
             (("poly", "sln", "--N", "3", "--colors", "1,1,1", "--braid", "1 -2 1"), {"spinlink.schur"},
              {"spinlink.xcalc", "spinlink.clifford", "spinlink.iqsym", "dataclasses"}),
-            (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.xcalc"}, {"spinlink.schur", "dataclasses"}),
+            (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.xcalc"},
+             {"spinlink.schur", "spinlink.iqsym", "dataclasses"}),
             (("verify", "xcalc", "--n", "1"), {"spinlink.xcalc"}, {"spinlink.schur"}),
         ),
         ids=("poly-sln", "poly-spin", "verify-xcalc"),

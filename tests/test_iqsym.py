@@ -20,13 +20,17 @@ from spinlink.iqsym import (
     one_strand_product,
     relation_table,
     trace_eval,
-    x_mult_table,
 )
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, devil, qint
 from spinlink.rep import circle_value
 from spinlink.spinpoly import BraidWord, eval_spin, sweep_raw_traces
 
 RANKS = (1, 2, 3)
+
+
+def x_mult_table(n):
+    """The full (n+1) x (n+1) multiplication table of the X^(k) letters."""
+    return {(a, b): dict(one_strand_product(a, b, n)) for a in range(n + 1) for b in range(n + 1)}
 
 
 def letters(n, *pairs):

@@ -1,15 +1,18 @@
 """Tests for the spin representation, V_1, cups/caps, Y_1, and H."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from spinlink.qalg import LaurentPoly, RatFunc, qint
+from spinlink.qalg import LaurentPoly, RatFunc, _content_and_primitive, poly_divexact, poly_gcd, poly_quotient, qint
 from spinlink.rep import (
     H,
     LinOp,
     Y1,
+    _factor_gen,
     cap_1,
     cap_n,
     circle_value,
@@ -19,18 +22,27 @@ from spinlink.rep import (
     cup_n,
     dominant_keys,
     doubled_weight,
-    is_dominant,
     is_intertwiner,
     lusztig_T,
     lusztig_T_w0,
     qJ,
     spin_action,
     subset_iter,
-    v1_action,
     weight,
 )
 
 RANKS = (1, 2, 3)
+
+
+def is_dominant(wt):
+    """Whether a weight (in the eps basis, any scale) is dominant for
+    so(2n+1): wt_1 >= ... >= wt_n >= 0."""
+    return wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:]))
+
+
+def v1_action(kind, i, n):
+    """The action of e_i, f_i or k_i^{+-1} on V_1."""
+    return _factor_gen(kind, i, "V", n)
 
 
 def scaled(op, coeff):
@@ -295,3 +307,114 @@ class TestDump:
     def test_rows_are_canonical(self):
         rows = cup_n(1).dump_rows()
         assert rows == [([], [0, 1], "-q"), ([], [1, 0], "1")]
+
+
+# -- canonical reduction against the gcd-per-entry oracle -----------------------
+
+
+def _reduced_by_gcd_per_entry(n, dom, cod, cols, den):
+    """cols / den in canonical form the direct way: a gcd of den with every
+    entry in turn, then one exact division of each entry and of den."""
+    if den.is_one() or not cols:
+        return LinOp(n, dom, cod, cols)
+    g = den
+    for col in cols.values():
+        for v in col.values():
+            g = poly_gcd(g, v)
+            if g.is_one():
+                return LinOp(n, dom, cod, cols, den)
+    g = LaurentPoly(_content_and_primitive(g)[1])
+    cols = {k: {j: poly_divexact(v, g) for j, v in col.items()} for k, col in cols.items()}
+    return LinOp(n, dom, cod, cols, poly_divexact(den, g))
+
+
+def _canonical(p):
+    """p as a canonical denominator: content 1, positive leading coefficient, valuation 0."""
+    return LaurentPoly(_content_and_primitive(p)[1])
+
+
+# canonical irreducible-or-not factors: [2], [3], [4] = [2](q^2 + q^-2), v^2 - 2, 2v + 3
+_FACTORS = tuple(_canonical(p) for p in (qint(2), qint(3), qint(4), LaurentPoly({0: -2, 2: 1}),
+                                         LaurentPoly({0: 3, 1: 2})))
+_COEFFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4))
+_SIG = ("S", "S")
+_KEYS = [(a, b) for a in range(2) for b in range(2)]
+
+
+def _random_cofactor(rng):
+    """One to three terms c v^e with rational c: a monomial factor, or more."""
+    return LaurentPoly({rng.randint(-6, 6): rng.choice(_COEFFS) for _ in range(rng.randint(1, 3))})
+
+
+def _random_fraction(rng, share):
+    """(cols, den) for a canonical den of up to three factors, each entry a
+    random cofactor times the den factors it keeps with probability share."""
+    factors = [rng.choice(_FACTORS) for _ in range(rng.randint(0, 3))]
+    den = math.prod(factors, start=LaurentPoly.one())
+    cols = {}
+    for k in rng.sample(_KEYS, rng.randint(1, 4)):
+        cols[k] = {}
+        for j in rng.sample(_KEYS, rng.randint(1, 4)):
+            kept = [f for f in factors if rng.random() < share]
+            cols[k][j] = math.prod(kept, start=_random_cofactor(rng))
+    return cols, den
+
+
+class TestCanonicalReduction:
+    """LinOp.reduced divides by a running divisor and LinOp.scale by one
+    scalar gcd; both must give the canonical form of the gcd-per-entry
+    oracle, for rational coefficients, monomial factors and full
+    cancellation."""
+
+    @pytest.mark.parametrize("share", (0.5, 0.8, 1.0))
+    def test_reduced_equals_gcd_per_entry(self, share):
+        rng = random.Random(2024 + int(10 * share))
+        for _ in range(60):
+            cols, den = _random_fraction(rng, share)
+            got = LinOp.reduced(2, _SIG, _SIG, cols, den)
+            want = _reduced_by_gcd_per_entry(2, _SIG, _SIG, cols, den)
+            assert got == want and got.den == want.den, (cols, den)
+            if share == 1.0:
+                assert got.den.is_one()
+
+    def test_later_entries_lower_the_divisor(self):
+        # den = [2][3]: the first entry keeps both factors and the next only
+        # [3], so the divisor drops to [3] and the kept quotient is rescaled;
+        # an entry with neither drops it to 1, which returns the input
+        two, three = _FACTORS[:2]
+        cols = {(0, 0): {(0, 0): two * three, (0, 1): three.shift(-3), (1, 0): LaurentPoly.const(Fraction(1, 2))}}
+        got = LinOp.reduced(2, _SIG, _SIG, cols, two * three)
+        assert got.den == two * three and got.cols == cols
+        cols = {(0, 0): {(0, 0): two * three, (0, 1): three.shift(-3)}, (1, 1): {(1, 1): three.scale(5)}}
+        got = LinOp.reduced(2, _SIG, _SIG, cols, two * three)
+        assert got.den == two and got.cols == {(0, 0): {(0, 0): two, (0, 1): LaurentPoly.v_pow(-3)},
+                                               (1, 1): {(1, 1): LaurentPoly.const(5)}}
+        assert got == _reduced_by_gcd_per_entry(2, _SIG, _SIG, cols, two * three)
+
+    def test_scale_equals_gcd_per_entry(self):
+        rng = random.Random(7)
+        for _ in range(80):
+            cols, den = _random_fraction(rng, 0.5)
+            op = _reduced_by_gcd_per_entry(2, _SIG, _SIG, cols, den)
+            kept = [f for f in _FACTORS if rng.random() < 0.4]
+            c = math.prod(kept, start=_random_cofactor(rng))
+            for scalar in (c, c.c[min(c.c)], RatFunc(c, rng.choice(_FACTORS))):
+                num, d = (scalar.num, scalar.den) if isinstance(scalar, RatFunc) else (scalar, LaurentPoly.one())
+                num = num if isinstance(num, LaurentPoly) else LaurentPoly.const(num)
+                scaled = {k: {j: v * num for j, v in col.items()} for k, col in op.cols.items()}
+                want = _reduced_by_gcd_per_entry(2, _SIG, _SIG, scaled, op.den * d)
+                got = op.scale(scalar)
+                assert got == want and got.den == want.den, (op.cols, op.den, scalar)
+
+    def test_quotient_is_none_exactly_when_divexact_raises(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            b = math.prod([rng.choice(_FACTORS) for _ in range(rng.randint(0, 3))], start=LaurentPoly.one())
+            a = _random_cofactor(rng)
+            if rng.random() < 0.5:
+                a = a * math.prod([f for f in _FACTORS if rng.random() < 0.5], start=b)
+            try:
+                want = poly_divexact(a, b)
+            except ValueError:
+                want = None
+            assert poly_quotient(a, b) == want, (a, b)

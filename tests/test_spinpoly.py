@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from spinlink import cli, spinpoly
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, qint
 from spinlink.schur import crossing_step, eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
-from spinlink.rep import circle_value, complement, is_dominant, qJ, subset_iter
+from spinlink.rep import circle_value, complement, qJ, subset_iter
 from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
@@ -177,6 +177,10 @@ def _all_column_diagonals(braid, n):
     return diags
 
 
+def _is_dominant(wt):
+    return wt[-1] >= 0 and all(a >= b for a, b in zip(wt, wt[1:]))
+
+
 def _doubled_weight(column, n):
     return tuple(sum(-1 if B >> j & 1 else 1 for B in column) for j in range(n))
 
@@ -198,7 +202,7 @@ def _brute_force_orbit_closure(n, m):
     for column in itertools.product(range(1 << n), repeat=m):
         wt = _doubled_weight(column, n)
         closure.setdefault(wt, math.prod((mu[B] for B in column), start=LaurentPoly.one()))
-        if is_dominant(wt):
+        if _is_dominant(wt):
             dominant[column] = wt
     orbit_sums = {}
     for wt in set(dominant.values()):

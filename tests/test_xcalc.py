@@ -18,7 +18,6 @@ from spinlink.xcalc import (
     h_eigenvalues,
     lambda_coeff,
     ptrace,
-    qtrace,
     r_on_strands,
     rank_of,
     relation_suite,
@@ -27,6 +26,15 @@ from spinlink.xcalc import (
 )
 
 RANKS = (1, 2, 3)
+
+
+def qtrace(op):
+    """The full quantum trace: iterated partial closure down to a scalar."""
+    cur = op
+    while cur.dom:
+        cur = ptrace(cur)
+    value = cur.cols.get((), {}).get((), LaurentPoly.zero())
+    return GradedScalar(0, poly_divexact(value, cur.den))  # raises unless the trace is Laurent
 
 
 @pytest.fixture(scope="module")
@@ -84,13 +92,15 @@ class TestProductionRoute:
     def test_perturbed_symbolic_polynomial_is_refused(self, monkeypatch, k):
         # the product route evaluates iqsym's polynomial of X^(k), so the
         # matrix recursion guards the symbolic table's coefficients
-        from spinlink import iqsym, xcalc
+        from spinlink import iqsym
+
+        original = iqsym._factor_product
 
         def perturbed(j):
-            coeffs = iqsym._factor_product(j)
+            coeffs = original(j)
             return coeffs if j != k else (coeffs[0] + LaurentPoly.one(),) + coeffs[1:]
 
-        monkeypatch.setattr(xcalc, "_factor_product", perturbed)
+        monkeypatch.setattr(iqsym, "_factor_product", perturbed)
         with pytest.raises(AssertionError, match=f"X\\^\\({k}\\) routes disagree at n=2"):
             build_X(2)
 
@@ -104,7 +114,7 @@ class TestOrderIndependence:
         # equal entry for entry, listed in different orders
         assert h == c and [list(col) for col in h.cols.values()] != [list(c.cols[k]) for k in h.cols]
 
-        counts = {"gcd": 0, "divexact": 0}
+        counts = {"gcd": 0, "divexact": 0, "quotient": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -113,23 +123,36 @@ class TestOrderIndependence:
 
             return wrapper
 
-        gcd, divexact = counted("gcd", qalg.poly_gcd), counted("divexact", qalg.poly_divexact)
-        monkeypatch.setattr(qalg, "poly_gcd", gcd)  # rep.LinOp calls both through qalg
-        monkeypatch.setattr(qalg, "poly_divexact", divexact)
+        for name, attr in (("gcd", "poly_gcd"), ("divexact", "poly_divexact"), ("quotient", "poly_quotient")):
+            monkeypatch.setattr(qalg, attr, counted(name, getattr(qalg, attr)))  # rep.LinOp calls them through qalg
 
         def check_with(h_op):
             idSS = LinOp.identity(("S", "S"), n)
             x = h_op - idSS.scale(RatFunc(LaurentPoly.one(), qint(2)))
             fam = XFamily(n, xcalc._x_by_recursion(n, x), h_op)
             monkeypatch.setattr(xcalc, "build_X", lambda n, check_product_route=True: fam)
-            counts.update(gcd=0, divexact=0)
+            counts.update(gcd=0, divexact=0, quotient=0)
             report = change_of_basis_check(n)
             return dict(counts), report
 
         h_counts, h_report = check_with(h)
         c_counts, c_report = check_with(c)
-        assert h_counts == c_counts
+        assert h_counts == c_counts and h_counts["quotient"] > 0
         assert h_report == c_report and all(e["status"] == "pass" for e in h_report)
+
+
+class TestReductionCost:
+    def test_verify_xcalc_takes_few_gcds(self, monkeypatch, capsys):
+        # LinOp.reduced divides each entry by a running divisor and takes a gcd
+        # only when that divisor drops: verify xcalc --n 2 made 152 gcds, where
+        # one gcd per entry made 614
+        from spinlink import cli, qalg
+
+        calls = []
+        gcd = qalg.poly_gcd
+        monkeypatch.setattr(qalg, "poly_gcd", lambda a, b: calls.append(1) or gcd(a, b))
+        assert cli.main(["verify", "xcalc", "--n", "2"]) == 0
+        assert 0 < len(calls) <= 170
 
 
 class TestBraiding:
@@ -305,12 +328,12 @@ class TestRelationSuite:
         assert all(e["status"] == "pass" for e in report), [e for e in report if e["status"] != "pass"]
 
     def test_mutated_table_is_caught(self, monkeypatch):
-        from spinlink import xcalc
+        from spinlink import iqsym
 
         table = dict(relation_table(2))  # the table is cached: change a copy
         (coeff, word), *rest = table[(1, 1, 1)]
         table[(1, 1, 1)] = [(coeff + LaurentPoly.one(), word), *rest]
-        monkeypatch.setattr(xcalc, "relation_table", lambda n: table)
+        monkeypatch.setattr(iqsym, "relation_table", lambda n: table)
         restricted = relation_suite(2)
         report = {e["identity_id"]: e for e in restricted}
         entry = report.pop("three-strand-relation-table")
