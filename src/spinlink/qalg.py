@@ -609,15 +609,6 @@ class GradedScalar:
             out.append([ex.numerator, ex.denominator, cf.numerator, cf.denominator])
         return out
 
-    @staticmethod
-    def from_json_terms(terms: Iterable[Iterable[int]]) -> "GradedScalar":
-        """Inverse of json_terms (offsets re-split canonically)."""
-        total = GradedScalar.zero()
-        for en, ed, cn, cd in terms:
-            ex = Fraction(en, ed)
-            total = total + GradedScalar(ex, LaurentPoly.const(Fraction(cn, cd)))
-        return total
-
     def __str__(self) -> str:
         if self.offset == 0:
             return str(self.body)

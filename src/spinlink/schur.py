@@ -16,11 +16,12 @@ U_q(gl_m)-module (Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse
 operator, and the pairing is the quantum trace of their product.  The
 operator commutes with U_q(gl_N), so only states of dominant gl_N weight
 are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum, shared
-with the spin route).  The dominant-state trace kernel (crossing_step,
-closing_diagonal, weighted_trace) multiplies {v-exponent: coeff} dicts: the
-image of a column pair is built the first time a state reaches it, so there
-is no table to pack up front as spinpoly does.  The cost is linear in the
-crossings.
+with the spin route).  The trace runs on spinpoly's packed kernel: a vector
+maps states to ints, each a Laurent polynomial divided by its lowest power
+of v and evaluated at v^2 = 2^B.  The image of a column pair is still built
+the first time a state reaches it: each crossing's tables fill on lookup,
+one with the images' l1 norms for the per-word bound B, and one per
+(B, offset) with the images packed.  The cost is linear in the crossings.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -36,12 +37,13 @@ i.e. A = q^{1/2}).
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
 from .rep import circle_value, orbit_sum
-from .spinpoly import BraidWord
+from .spinpoly import BraidWord, _pack, _packed_trace, _word_bits
 
 GlWeight = tuple[int, ...]
 Letter = tuple[str, int, int]  # ("E"|"F", color, power >= 1)
@@ -311,12 +313,28 @@ def _divided_power(kind: str, s: int, u: int, w: int, N: int) -> dict[tuple[int,
     return out
 
 
+class _LazyTable(dict):
+    """A crossing's table pair -> {pair': int}, filled on lookup: the pair's
+    image under the crossing, each coefficient mapped by `entry`."""
+
+    __slots__ = ("image", "entry")
+
+    def __init__(self, image, entry):
+        super().__init__()
+        self.image, self.entry = image, entry
+
+    def __missing__(self, pair):
+        row = self[pair] = {out: self.entry(c) for out, c in self.image(pair).items()}
+        return row
+
+
 class _Crossing:
     """c^{+-} 1_(a, b) on two adjacent columns of colors a, b: the terms of
     c_pm read as F^{(f)} E^{(e)} operators.  The image of a column pair is
-    built the first time a state reaches it."""
+    built the first time a state reaches it; low is the lowest v-exponent
+    among the images built so far, and norms is the table of their l1 norms."""
 
-    __slots__ = ("N", "terms", "images")
+    __slots__ = ("N", "terms", "images", "low", "norms")
 
     def __init__(self, N: int, a: int, b: int, sign: int):
         self.N = N
@@ -325,6 +343,8 @@ class _Crossing:
             powers = {kind: r for kind, _, r in word}
             self.terms.append((powers.get("E", 0), powers.get("F", 0), coeff))
         self.images: dict[tuple[int, int], dict[tuple[int, int], LaurentPoly]] = {}
+        self.low = math.inf
+        self.norms = _LazyTable(self.image, lambda c: sum(map(abs, c.c.values())))
 
     def image(self, pair: tuple[int, int]) -> dict[tuple[int, int], LaurentPoly]:
         img = self.images.get(pair)
@@ -337,12 +357,22 @@ class _Crossing:
                         term = coeff.shift(2 * (x + y))
                         acc[out] = acc[out] + term if out in acc else term
             img = self.images[pair] = {out: c for out, c in acc.items() if c}
+            self.low = min([self.low, *(e for c in img.values() for e in c.c)])
         return img
 
 
 @lru_cache(maxsize=64)
 def _crossing(N: int, a: int, b: int, sign: int) -> _Crossing:
+    # tables packed from an earlier crossing must not outlive it
+    _packed.cache_clear()
     return _Crossing(N, a, b, sign)
+
+
+@lru_cache(maxsize=32)
+def _packed(N: int, a: int, b: int, sign: int, bits: int, low: int) -> _LazyTable:
+    """The crossing's images packed at the slot v^2 = 2^bits from v^low: every
+    type A exponent is even (the q^{1/N} of a value lives in its offset)."""
+    return _LazyTable(_crossing(N, a, b, sign).image, lambda c: _pack(c, low, 2, bits))
 
 
 @lru_cache(maxsize=16)
@@ -375,78 +405,28 @@ def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], Lauren
     return tuple(states)
 
 
-# -- the dominant-state trace kernel ------------------------------------------------
-#
-# A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
-# is the {pair': LaurentPoly} image of the pair on those strands (None or empty
-# if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
-# are accumulated in place, and a LaurentPoly is built only for the diagonal.
-
-
-def crossing_step(vec: dict, i: int, image) -> dict:
-    """One crossing on strands i, i+1 applied to a sparse vector of states."""
-    new: dict = {}
-    for key, coeff in vec.items():
-        img = image(key[i - 1 : i + 1])
-        if not img:
-            continue
-        head, tail, terms = key[: i - 1], key[i + 1 :], coeff.items()
-        for pair, c in img.items():
-            acc = new.setdefault(head + pair + tail, {})
-            for e1, c1 in c.c.items():
-                for e2, c2 in terms:
-                    acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    out = {}
-    for key, acc in new.items():
-        acc = {e: c for e, c in acc.items() if c}
-        if acc:
-            out[key] = acc
-    return out
-
-
-def closing_diagonal(vec: dict, i: int, image, start: tuple) -> LaurentPoly:
-    """The entry at `start` of crossing_step(vec, i, image), read off without
-    building the rest of the vector: the last crossing of a word only feeds
-    the diagonal, so only the keys that agree with start outside strands i,
-    i+1 are looked up, each at its image entry on start's pair."""
-    head, tail, target = start[: i - 1], start[i + 1 :], start[i - 1 : i + 1]
-    acc: dict = {}
-    for key, coeff in vec.items():
-        if key[: i - 1] == head and key[i + 1 :] == tail:
-            c = (image(key[i - 1 : i + 1]) or {}).get(target)
-            if c is not None:
-                for e1, c1 in c.c.items():
-                    for e2, c2 in coeff.items():
-                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return LaurentPoly(acc)
-
-
-def weighted_trace(crossings: list, states) -> LaurentPoly:
-    """The sum over (start, weight) in states of weight times the diagonal
-    entry at start of the crossings' product; the first crossing acts first."""
-    if not crossings:
-        return sum((weight for _, weight in states), LaurentPoly.zero())
-    *body, (i, image) = crossings
-    total = LaurentPoly.zero()
-    for start, weight in states:
-        vec = {start: {0: 1}}
-        for j, img in body:
-            vec = crossing_step(vec, j, img)
-        total = total + closing_diagonal(vec, i, image, start) * weight
-    return total
-
-
 def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
-    """The quantum trace of the braid's operator on the weight-a space, by the
-    dominant-state kernel (the operator commutes with U_q(gl_N),
-    so the trace on a gl_N weight space is S_N-invariant).  The first letter
-    acts first."""
-    crossings = []
-    cur = list(a)
+    """The quantum trace of the braid's operator on the weight-a space, on the
+    dominant states (the operator commutes with U_q(gl_N), so the trace on a
+    gl_N weight space is S_N-invariant), grouped by orbit sum.  The first
+    letter acts first."""
+    classes: dict[LaurentPoly, list] = {}
+    for start, weight in _dominant_states(a, N):
+        classes.setdefault(weight, []).append(start)
+    if not braid.letters:
+        return sum((w.scale(len(starts)) for w, starts in classes.items()), LaurentPoly.zero())
+    crossings, cur = [], list(a)
     for i, sign in braid.letters:
-        crossings.append((i, _crossing(N, cur[i - 1], cur[i], sign).image))
+        crossings.append((i, (cur[i - 1], cur[i], sign)))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return weighted_trace(crossings, _dominant_states(a, N))
+    data = {key: _crossing(N, *key) for _, key in crossings}
+    # the bound pass builds every image the packed pass reaches (its support is
+    # the larger), so each crossing's low is final for this word; the braiding
+    # is invertible, so every crossing builds a nonzero image and low is finite
+    bits = _word_bits({key: c.norms for key, c in data.items()}, crossings, classes.values())
+    tables = {key: _packed(N, *key, bits, c.low) for key, c in data.items()}
+    offset = sum(data[key].low for _, key in crossings)
+    return _packed_trace(crossings, tables, classes, bits, offset, 2)
 
 
 def _annular_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:

@@ -32,7 +32,8 @@ B comes from a bound computed per word: the all-ones vector of each orbit-
 sum class pushed through the entrywise l1 norms of the crossing data.  The
 class sums are decoded by balanced base-2^B digits, exactly when every
 coefficient is below 2^(B-1) in absolute value, which the bound ensures.
-schur's sl_N weight-space route keeps its own {v-exponent: coeff} kernel.
+The kernel (_step, _diagonal, _word_bits, _packed_trace) is shared with
+schur's sl_N weight-space route, which packs its crossing images lazily.
 Three normalizations are exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
@@ -309,17 +310,25 @@ def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
     bits = _word_bits(norms, crossings, classes.values())
     tables = {s: _packed_crossings(n, s, bits) for s in (1, -1)}
     offset = sum(low[sign] for _, sign in braid.letters)
-    *body, (i, sign) = crossings
+    return GradedScalar(0, _packed_trace(crossings, tables, classes, bits, offset, step))
+
+
+def _packed_trace(crossings: list, tables: dict, classes: dict, bits: int, offset: int, step: int) -> LaurentPoly:
+    """The sum over the classes {weight: start states} of weight times the sum of
+    the class's diagonal entries of the crossings' product, each crossing (i, key)
+    acting through tables[key] and the first acting first.  Each class sum is
+    decoded once, with the word's exponent offset and slot step."""
+    *body, (i, key) = crossings
     total = LaurentPoly.zero()
-    for w, columns in classes.items():
+    for w, starts in classes.items():
         diagonal = 0
-        for start in columns:
+        for start in starts:
             vec = {start: 1}
-            for j, s in body:
-                vec = _step(vec, j, tables[s])
-            diagonal += _diagonal(vec, i, tables[sign], start)
+            for j, k in body:
+                vec = _step(vec, j, tables[k])
+            diagonal += _diagonal(vec, i, tables[key], start)
         total = total + _unpack(diagonal, bits, offset, step) * w
-    return GradedScalar(0, total)
+    return total
 
 
 def stabilization_factor(n: int) -> GradedScalar:

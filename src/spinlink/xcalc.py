@@ -34,7 +34,7 @@ from __future__ import annotations
 from . import clifford
 from .qalg import LaurentPoly, RatFunc, binom2, d_value, devil, devil_ratio, qint, report_entry
 from .rep import (
-    LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
+    LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, subset_iter,
 )
 
 _ONE = LaurentPoly.one()
@@ -113,14 +113,6 @@ def braiding(n: int, fam: XFamily | None = None, sign: int = 1) -> LinOp:
     for k in range(n + 1):
         total = total + fam[k].scale(LaurentPoly.v_pow(sign * (n - 2 * k)))
     return total
-
-
-def r_on_strands(i: int, m: int, n: int, inverse: bool = False, fam: XFamily | None = None) -> LinOp:
-    """The braiding acting on strands (i, i+1) of S^{(x) m}."""
-    if not 1 <= i <= m - 1:
-        raise ValueError(f"strand index {i} out of range for {m} strands")
-    r = braiding(n, fam, -1 if inverse else 1)
-    return r.embed(i - 1, m - i - 1, sig_keys(("S",) * m, n))
 
 
 # -- the quantum partial trace ---------------------------------------------------

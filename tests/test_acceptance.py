@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from helpers import r_on_strands
 from spinlink.clifford import qgrp_via_clifford, wenzl_C
 from spinlink.iqsym import eval_spin_symbolic
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, appendixA_suite, devil, qbinom
@@ -30,7 +31,6 @@ from spinlink.xcalc import (
     braiding,
     build_X,
     change_of_basis_check,
-    r_on_strands,
     relation_suite,
 )
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import from_json_terms
 from spinlink import schur
 from spinlink.cli import _SUITES, main
 from spinlink.qalg import GradedScalar, RatFunc
@@ -35,7 +36,7 @@ class TestPolySpin:
         )
         assert code == 0
         terms = json.loads(out)["terms"]
-        value = GradedScalar.from_json_terms(terms)
+        value = from_json_terms(terms)
         assert value == eval_spin(parse_braid("s1 s1 s1"), 1)
 
     def test_engines_agree(self, capsys):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import weighted_trace
 from spinlink import schur
 from spinlink.qalg import GradedScalar, LaurentPoly, poly_divexact, qbinom, qint
 from spinlink.rep import orbit_sum
@@ -359,8 +360,88 @@ class TestWeightSpaceRoute:
         assert _at_one(value) == 27
 
     def test_operator_caches_are_bounded(self):
-        for fn in (schur._crossing, schur._dominant_states, orbit_sum, schur._binom_merge):
-            assert fn.cache_info().maxsize is not None
+        caches = {name for name, fn in vars(schur).items() if hasattr(fn, "cache_info")}
+        assert {"_crossing", "_packed", "_dominant_states", "orbit_sum", "_binom_merge"} <= caches
+        for name in caches:
+            assert getattr(schur, name).cache_info().maxsize is not None, name
+
+
+def _dict_kernel_pairing(braid, a, N):
+    """The weight-space pairing by the exponent-dict oracle, on the same crossing images."""
+    crossings, cur = [], list(a)
+    for i, sign in braid.letters:
+        crossings.append((i, schur._crossing(N, cur[i - 1], cur[i], sign).image))
+        cur[i - 1], cur[i] = cur[i], cur[i - 1]
+    return weighted_trace(crossings, schur._dominant_states(a, N))
+
+
+def _balanced_colors(braid, rng, top):
+    """Random colors in 1..top, one per component of the closure."""
+    perm, colors = braid.permutation(), [0] * braid.strands
+    for s in range(braid.strands):
+        c, j = rng.randint(1, top), s
+        while not colors[j]:
+            colors[j], j = c, perm[j]
+    return tuple(colors)
+
+
+class TestPackedPairing:
+    """The packed weight-space pairing against the exponent-dict oracle."""
+
+    @pytest.mark.parametrize("m", (3, 4))
+    def test_random_words(self, m):
+        rng = random.Random(2207 + m)
+        for _ in range(40):
+            N = rng.randint(2, 6)
+            letters = tuple((rng.randint(1, m - 1), rng.choice((1, -1))) for _ in range(rng.randint(1, 9 - m)))
+            b = BraidWord(m, letters)
+            a = _balanced_colors(b, rng, min(3, N))
+            assert schur._weight_space_pairing(b, a, N) == _dict_kernel_pairing(b, a, N), (letters, a, N)
+
+    @pytest.mark.parametrize("text, a", (("1 1", (1, 2)), ("-1 -1 1", (2, 1)), ("1 1 -2 -2", (1, 2, 3)),
+                                         ("2 -1 -1 2", (3, 1, 2))))
+    def test_mixed_colorings(self, text, a):
+        b = parse_braid(text, len(a))
+        for N in range(max(a), 7):
+            assert schur._weight_space_pairing(b, a, N) == _dict_kernel_pairing(b, a, N), N
+
+    @pytest.mark.parametrize("text", ("1 2 1 2", "1 -2 1 -2"))
+    def test_middle_color_at_rank_eight(self, text):
+        b = parse_braid(text, 3)
+        assert schur._weight_space_pairing(b, (4, 4, 4), 8) == _dict_kernel_pairing(b, (4, 4, 4), 8)
+
+    def test_empty_words(self):
+        for N in range(0, 6):
+            for a in ((N,), (1, N), (N // 2, 1, N)):
+                b = BraidWord(len(a), ())
+                assert schur._weight_space_pairing(b, a, N) == _dict_kernel_pairing(b, a, N), (a, N)
+
+    # the smallest margin, slot width minus the bits the class sums need, among 700
+    # random 2- to 4-strand words at N <= 6, colors <= 3, over those with a width
+    # of at least 16 bits: 6 bits
+    TIGHTEST = ((((3, 1), (2, -1)), (2, 2, 2, 2), 6), (((1, -1), (1, 1)), (2, 2, 3, 1), 6))
+
+    @pytest.mark.parametrize("letters, a, N", TIGHTEST)
+    def test_tightest_word(self, letters, a, N):
+        b = BraidWord(len(a), letters)
+        assert schur._weight_space_pairing(b, a, N) == _dict_kernel_pairing(b, a, N)
+
+    def test_no_packed_table_outlives_its_crossing(self, monkeypatch):
+        b, a, N = parse_braid("1 -2 -1 -2", 3), (2, 2, 2), 4
+        want = schur._weight_space_pairing(b, a, N)
+        assert want
+        schur._crossing.cache_clear()
+        c_pm = schur.c_pm
+
+        def negated(i, a, N, sign):
+            # the one positive crossing changes sign
+            return c_pm(i, a, N, sign).scale(LaurentPoly.const(-1 if sign > 0 else 1))
+
+        monkeypatch.setattr(schur, "c_pm", negated)
+        try:
+            assert schur._weight_space_pairing(b, a, N) == -want
+        finally:
+            schur._crossing.cache_clear()
 
 
 class TestTypeAProperties:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import crossing_step
 from spinlink import cli, spinpoly
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, qint
-from spinlink.schur import crossing_step, eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
+from spinlink.schur import eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
 from spinlink.rep import circle_value, complement, qJ, subset_iter
 from spinlink.spinpoly import (
     BraidParseError,

@@ -3,7 +3,7 @@ runs check every value against a stored reference.
 
 A renamed or deleted function makes `perfbench/tracer.py`'s `install` raise,
 which breaks every traced benchmark run; these tests catch that in tier-1,
-and a changed value of the spin matrix route on either pool of words.
+and a changed value of the spin matrix or the sl_N route on either pool of words.
 """
 
 import json
@@ -52,12 +52,21 @@ def test_the_installed_tracer_runs_every_route():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("pool", ("default", "heldout"))
-def test_the_benchmark_checks_the_spin_matrix_route(pool):
+def _check_pool(workload, pool):
     # every value of the pool against its stored reference, in fresh interpreters
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "spin-matrix", "--seed", "1", "--seconds", "0",
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0",
            "--pool", pool]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+@pytest.mark.parametrize("pool", ("default", "heldout"))
+def test_the_benchmark_checks_the_spin_matrix_route(pool):
+    _check_pool("spin-matrix", pool)
+
+
+@pytest.mark.parametrize("pool", ("default", "heldout"))
+def test_the_benchmark_checks_the_sln_route(pool):
+    _check_pool("sln-annular", pool)

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from helpers import r_on_strands
 from spinlink.iqsym import relation_table, trace_rule_coeff
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, poly_divexact, poly_gcd, qint
 from spinlink.clifford import wenzl_C
@@ -18,7 +19,6 @@ from spinlink.xcalc import (
     h_eigenvalues,
     lambda_coeff,
     ptrace,
-    r_on_strands,
     rank_of,
     relation_suite,
     rotate,
