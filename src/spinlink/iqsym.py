@@ -17,16 +17,23 @@ devil-product coefficient).  Repeating this strand by strand evaluates
 any closed word, and hence any braid, without ever touching a matrix.
 
 Every coefficient on this route is a Laurent polynomial: the one-strand
-products, the relation-table rows, the trace-rule coefficients, the
-product polynomial of X^(k) and the circle value (rep.circle_value) all
-have denominator 1 at ranks 1-3, and each table stores them as LaurentPoly
-at its source (an entry computed over Q(q) is converted once with
-as_poly(), which raises on an entry that is not Laurent).  Elements and
-trace values are carried as LaurentPoly, and only the final trace is
-wrapped as a GradedScalar.  Trace values are interned, and a trace sum adds
-up the coefficients of all words sharing one value before multiplying,
-once per distinct value.  The operator side (xcalc) evaluates the same
-X^(k) polynomial on matrices, so the matrix recursion checks it.
+products, the relation-table rows, the trace-rule coefficients, the product
+polynomial of X^(k) and the circle value (rep.circle_value) all have
+denominator 1 at ranks 1-3, and each table stores them as LaurentPoly at its
+source (an entry computed over Q(q) is converted once with as_poly(), which
+raises on an entry that is not Laurent).  AlgElement keeps LaurentPoly
+coefficients; the expansion, rewriting and trace run on packed ones
+(Kronecker substitution, qalg._pack): (x, s, L), where x is the polynomial
+over v^s at v = 2^B, s a lower bound of its valuation and L a majorant of
+its l1 norm (L L' under a product, L + L' under a sum).  Balanced base-2^B
+digits decode x exactly when L < 2^(B-1); only then is a value decoded,
+dropped as zero or interned.  The tables are packed lazily per width B,
+which starts at START_BITS and doubles (clearing every packed table and
+trace value) when the total of a trace does not fit.  Trace values are
+cached by the least rotation of the word (Tr_q is cyclic) and interned, and
+a trace sum adds up the coefficients of all words sharing one value before
+multiplying, once per distinct value.  The operator side (xcalc) evaluates
+the same X^(k) polynomial on matrices, so the matrix recursion checks it.
 
 The relation tables are stored as data.  The rank-3 table consists of the
 Serre-type base relation, the (a,1,c), (a,2,c), (a,3,c) power rows and
@@ -42,21 +49,25 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qalg import (
-    GradedScalar, LaurentPoly, RatFunc, _accumulate, _add_terms, _add_to, _concat_terms, binom2, devil, devil_ratio,
-    qint, report_entry,
+    GradedScalar, LaurentPoly, RatFunc, _add_terms, _concat_terms, _pack, _unpack, binom2, devil, devil_ratio, qint,
+    report_entry,
 )
 from .rep import circle_value
 
 XWord = tuple[tuple[int, int], ...]
 Term = tuple[LaurentPoly, tuple]  # a relation-table row term: coefficient, pattern word
+Packed = tuple[int, int, int]  # (x, s, L): see the module docstring
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
 _R_ONE = RatFunc.one()
+_P_ONE = (1, 0, 1)
 
 # Shared entry bound of the trace cache and its interned values: far above
 # the ~8k entries one benchmark batch creates.
 TRACE_CACHE_MAX = 200_000
+# The slot width of packed coefficients in a fresh process, in bits.
+START_BITS = 48
 
 
 @lru_cache(maxsize=64)
@@ -218,6 +229,62 @@ def relation_table(n: int) -> dict[tuple[int, int, int], list[Term]]:
     }
 
 
+# -- packed coefficients -------------------------------------------------------------
+
+
+def _pack_value(poly: LaurentPoly, bits: int) -> Packed:
+    """poly as (x, s, L): s its valuation, x = poly / v^s at v = 2^bits and L its
+    l1 norm.  A coefficient that is not an integer raises ValueError."""
+    if any(type(c) is not int for c in poly.c.values()):
+        raise ValueError(f"cannot pack {poly}: a coefficient is not an integer")
+    s = min(poly.c, default=0)
+    return _pack(poly, s, 1, bits), s, sum(map(abs, poly.c.values()))
+
+
+def _decode(val: Packed, bits: int) -> LaurentPoly | None:
+    """The polynomial of val, or None unless its majorant L < 2^(bits-1)."""
+    x, s, majorant = val
+    return None if majorant >> bits - 1 else _unpack(x, bits, s, 1)
+
+
+def _mul(a: Packed, b: Packed) -> Packed:
+    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+
+def _add(a: Packed, b: Packed, bits: int) -> Packed:
+    """a + b on the lower of the two valuation bounds."""
+    (x, s, la), (y, r, lb) = a, b
+    if s <= r:
+        return x + (y << bits * (r - s)), s, la + lb
+    return (x << bits * (s - r)) + y, r, la + lb
+
+
+def _add_to(terms: dict, w, c: Packed, bits: int) -> None:
+    """terms[w] += c, dropping w when the sum is zero: x = 0 with L < 2^(bits-1)."""
+    s = terms.get(w)
+    if s is not None:
+        c = _add(s, c, bits)
+    if c[0] or c[2] >> bits - 1:
+        terms[w] = c
+    else:
+        terms.pop(w, None)
+
+
+@lru_cache(maxsize=8)
+def _packed_products(n: int, bits: int) -> dict[tuple[int, int], tuple[tuple[int, Packed], ...]]:
+    """one_strand_product(a, b, n) for every pair of powers, packed."""
+    return {(a, b): tuple((k, _pack_value(c, bits)) for k, c in one_strand_product(a, b, n))
+            for a in range(n + 1) for b in range(n + 1)}
+
+
+@lru_cache(maxsize=8)
+def _packed_trace_tables(n: int, bits: int) -> tuple[dict, tuple[Packed, ...]]:
+    """What only the trace reads, packed: relation_table(n), and trace_rule_coeff(n, k)
+    for k = 0..n followed by the circle value."""
+    rows = {key: [(_pack_value(c, bits), pattern) for c, pattern in terms] for key, terms in relation_table(n).items()}
+    return rows, tuple(_pack_value(p, bits) for p in [trace_rule_coeff(n, k) for k in range(n + 1)] + [circle_value(n)])
+
+
 # -- elements and canonicalization -----------------------------------------------
 
 
@@ -233,9 +300,9 @@ class AlgElement:
 
     def __init__(self, n: int, terms: dict[XWord, LaurentPoly] | None = None, canonical: bool = False):
         self.n = n
-        if terms is None:
-            terms = {}
-        self.terms = terms if canonical else _canonicalize(terms, n)
+        self.terms = terms or {}
+        if not canonical:
+            self.terms = _decoded(lambda bits: _canonicalize(self.packed(bits), n, bits))
 
     @staticmethod
     def unit(n: int) -> "AlgElement":
@@ -271,6 +338,9 @@ class AlgElement:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def packed(self, bits: int) -> dict[XWord, Packed]:
+        return {w: _pack_value(c, bits) for w, c in self.terms.items()}
+
     def __repr__(self) -> str:
         if not self.terms:
             return "AlgElement(0)"
@@ -281,14 +351,26 @@ class AlgElement:
         return " + ".join(bits)
 
 
-def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentPoly]:
-    out: dict[XWord, LaurentPoly] = {}
-    stack = [(w, c) for w, c in raw.items() if not c.is_zero()]
+def _decoded(run) -> dict:
+    """The packed terms run(bits) returns, decoded: run at the trace cache's
+    width, which doubles until every value of the result fits."""
+    while True:
+        bits = _trace_cache.bits
+        out = {w: _decode(c, bits) for w, c in run(bits).items()}
+        if None not in out.values():
+            return out
+        _trace_cache.widen()
+
+
+def _canonicalize(raw: dict[XWord, Packed], n: int, bits: int) -> dict[XWord, Packed]:
+    products = _packed_products(n, bits)
+    out: dict[XWord, Packed] = {}
+    stack = list(raw.items())
     while stack:
         word, coeff = stack.pop()
         pos = _first_reduction(word)
         if pos is None:
-            _add_to(out, word, coeff)
+            _add_to(out, word, coeff, bits)
             continue
         kind, p = pos
         if kind == "swap":
@@ -298,9 +380,9 @@ def _canonicalize(raw: dict[XWord, LaurentPoly], n: int) -> dict[XWord, LaurentP
             continue
         # merge adjacent letters on one strand
         i = word[p][0]
-        for k, c in one_strand_product(word[p][1], word[p + 1][1], n):
+        for k, c in products[word[p][1], word[p + 1][1]]:
             mid = ((i, k),) if k else ()
-            stack.append((word[:p] + mid + word[p + 2 :], coeff * c))
+            stack.append((word[:p] + mid + word[p + 2 :], _mul(coeff, c)))
     return out
 
 
@@ -318,135 +400,137 @@ def _first_reduction(word: XWord):
 # -- rewriting to one top-strand occurrence ---------------------------------------
 
 
-def normalize(elem: AlgElement, m: int, n: int) -> AlgElement:
-    """Rewrite every word on m strands so that the top strand index m-1
-    occurs at most once (the form the trace rule strips off)."""
-    if n > 3:
-        raise ValueError("symbolic rewriting needs the rank <= 3 relation tables")
-    out = AlgElement(n, {}, canonical=True)
-    for word, coeff in elem.terms.items():
-        out = out + _reduce_top(word, m - 1, n).scale(coeff)
-    return out
-
-
 def _occurrences(word: XWord, t: int) -> list[int]:
     return [p for p, (i, _) in enumerate(word) if i == t]
 
 
-def _reduce_top(word: XWord, t: int, n: int) -> AlgElement:
-    """All strand indices in word must be <= t; returns an equal element in
-    which index t occurs at most once per word."""
-    elem = AlgElement(n, {word: _ONE})
+def _reduce_top(word: XWord, t: int, n: int, bits: int) -> dict[XWord, Packed]:
+    """All strand indices in word must be <= t; returns the packed terms of an
+    equal element in which index t occurs at most once per word."""
+    terms = _canonicalize({word: _P_ONE}, n, bits)
     if t < 1:
-        return elem
+        return terms
     while True:
         work = None
-        for w in elem.terms:
+        for w in terms:
             if len(_occurrences(w, t)) > 1:
                 work = w
                 break
         if work is None:
-            return elem
-        coeff = elem.terms.pop(work)
+            return terms
+        coeff = terms.pop(work)
         occ = _occurrences(work, t)
         p1, p2 = occ[0], occ[1]
         a, c = work[p1][1], work[p2][1]
         segment = work[p1 + 1 : p2]
-        inner = _reduce_top(segment, t - 1, n)
+        inner = _reduce_top(segment, t - 1, n, bits)
         # the step's terms, each times coeff, canonicalized once at the end
-        raw: dict[XWord, LaurentPoly] = {}
-        for seg, seg_c in inner.terms.items():
-            seg_c = seg_c * coeff
+        raw: dict[XWord, Packed] = {}
+        for seg, seg_c in inner.items():
+            seg_c = _mul(seg_c, coeff)
             mids = _occurrences(seg, t - 1)
             if not mids:
                 # the two top letters become adjacent and merge
-                for k, ck in one_strand_product(a, c, n):
+                for k, ck in _packed_products(n, bits)[a, c]:
                     mid = ((t, k),) if k else ()
-                    _accumulate(raw, work[:p1] + seg + mid + work[p2 + 1 :], seg_c * ck)
+                    _add_to(raw, work[:p1] + seg + mid + work[p2 + 1 :], _mul(seg_c, ck), bits)
                 continue
             pm = mids[0]
             b = seg[pm][1]
             left, right = seg[:pm], seg[pm + 1 :]
-            rule = relation_table(n).get((a, b, c))
+            rule = _packed_trace_tables(n, bits)[0].get((a, b, c))
             if rule is None:
                 raise RuntimeError(f"relation table incomplete: no rule for pattern {(a, b, c)}")
             for rc, pattern in rule:
                 body = tuple((t if sym == "O" else t - 1, p) for sym, p in pattern)
-                _accumulate(raw, work[:p1] + left + body + right + work[p2 + 1 :], seg_c * rc)
-        elem = elem + AlgElement(n, raw)
+                _add_to(raw, work[:p1] + left + body + right + work[p2 + 1 :], _mul(seg_c, rc), bits)
+        for w, c in _canonicalize(raw, n, bits).items():
+            _add_to(terms, w, c, bits)
 
 
 # -- trace evaluation --------------------------------------------------------------
 
 
 class _TraceCache:
-    """Trace values by (n, m, word), each value interned so that equal values
-    are one object.  Both tables are cleared together once `values` holds
-    `bound` entries."""
+    """Packed trace values at one slot width `bits`, by (n, m, least rotation of
+    the word); each value that fits is interned, so that equal values are one
+    object.  Both tables are cleared together once `values` holds `bound`
+    entries."""
 
     def __init__(self, bound: int):
         self.bound = bound
-        self.values: dict[tuple[int, int, XWord], LaurentPoly] = {}
-        self.interned: dict[LaurentPoly, LaurentPoly] = {}
+        self.bits = START_BITS
+        self.values: dict[tuple[int, int, XWord], Packed] = {}
+        self.interned: dict[tuple[int, int], Packed] = {}
 
-    def store(self, key: tuple[int, int, XWord], val: LaurentPoly) -> LaurentPoly:
+    def store(self, key: tuple[int, int, XWord], val: Packed) -> Packed:
         if len(self.values) >= self.bound:
             self.values.clear()
             self.interned.clear()
-        val = self.interned.setdefault(val, val)
+        if not val[2] >> self.bits - 1:
+            val = self.interned.setdefault(val[:2], val)
         self.values[key] = val
         return val
+
+    def widen(self) -> None:
+        """Double the slot width: no value or packed table of the old width survives."""
+        self.bits *= 2
+        self.values.clear()
+        self.interned.clear()
+        _packed_products.cache_clear()
+        _packed_trace_tables.cache_clear()
 
 
 _trace_cache = _TraceCache(TRACE_CACHE_MAX)
 
 
-def _trace_word(word: XWord, m: int, n: int) -> LaurentPoly:
-    key = (n, m, word)
+def _trace_word(word: XWord, m: int, n: int, bits: int) -> Packed:
+    # Tr_q is cyclic, so all rotations of a word share one entry
+    key = (n, m, min((word[p:] + word[:p] for p in range(len(word))), default=word))
     hit = _trace_cache.values.get(key)
     if hit is not None:
         return hit
     t = m - 1
     occ = _occurrences(word, t)
+    closing = _packed_trace_tables(n, bits)[1]
     if m == 1:
         assert word == ()
-        val = circle_value(n)
+        val = closing[-1]
     elif not occ:
-        val = trace_rule_coeff(n, 0) * _trace_word(word, m - 1, n)
+        val = _mul(closing[0], _trace_word(word, m - 1, n, bits))
     elif len(occ) == 1:
         p = occ[0]
         rotated = word[p + 1 :] + word[:p]
-        val = trace_rule_coeff(n, word[p][1]) * _trace_eval_inner(
-            AlgElement(n, {rotated: _ONE}), m - 1, n
-        )
+        val = _mul(closing[word[p][1]], _trace_eval_inner(_canonicalize({rotated: _P_ONE}, n, bits), m - 1, n, bits))
     else:
-        val = _trace_eval_inner(_reduce_top(word, t, n), m, n)
+        val = _trace_eval_inner(_reduce_top(word, t, n, bits), m, n, bits)
     return _trace_cache.store(key, val)
 
 
-def _trace_eval_inner(elem: AlgElement, m: int, n: int) -> LaurentPoly:
+def _trace_eval_inner(terms: dict[XWord, Packed], m: int, n: int, bits: int) -> Packed:
     """The sum of coeff * trace(word), adding the coefficients of the words
     whose (interned) trace values are one object before multiplying."""
     groups: dict[int, list] = {}
-    for word, coeff in elem.terms.items():
-        val = _trace_word(word, m, n)
+    for word, coeff in terms.items():
+        val = _trace_word(word, m, n, bits)
         group = groups.get(id(val))
         if group is None:
             groups[id(val)] = [val, coeff]
         else:
-            group[1] = group[1] + coeff
-    total = _ZERO
+            group[1] = _add(group[1], coeff, bits)
+    total = 0, 0, 0
     for val, coeff in groups.values():
-        total = total + coeff * val
+        total = _add(total, _mul(coeff, val), bits)
     return total
 
 
-def trace_eval(elem: AlgElement, m: int, n: int) -> GradedScalar:
-    """The trace of a symbolic element on m strands: rotate, rewrite, and
-    strip top-strand letters one at a time down to the circle value."""
+def trace_eval(elem, m: int, n: int) -> GradedScalar:
+    """The trace of a symbolic element on m strands (an AlgElement, or the
+    _Expansion of a braid word): rotate, rewrite, and strip top-strand letters
+    one at a time down to the circle value."""
     if n > 3:
         raise ValueError("symbolic trace evaluation needs rank <= 3")
-    return GradedScalar(0, _trace_eval_inner(elem, m, n))
+    return GradedScalar(0, _decoded(lambda bits: {(): _trace_eval_inner(elem.packed(bits), m, n, bits)})[()])
 
 
 def crossing_element(i: int, n: int, sign: int) -> AlgElement:
@@ -458,16 +542,34 @@ def crossing_element(i: int, n: int, sign: int) -> AlgElement:
     return AlgElement(n, terms, canonical=True)
 
 
+class _Expansion:
+    """A braid word's crossing elements multiplied out on packed coefficients, as
+    `terms` at the width last asked for by packed(bits)."""
+
+    def __init__(self, braid, n: int):
+        self.braid, self.n, self.bits = braid, n, None
+        self.terms = self.packed(_trace_cache.bits)
+
+    def packed(self, bits: int) -> dict[XWord, Packed]:
+        if bits != self.bits:
+            terms = {(): _P_ONE}
+            for i, sign in self.braid.letters:
+                crossing = crossing_element(i, self.n, sign).packed(bits)
+                raw: dict[XWord, Packed] = {}
+                for w, c in terms.items():
+                    for w2, c2 in crossing.items():
+                        _add_to(raw, w + w2, _mul(c, c2), bits)
+                terms = _canonicalize(raw, self.n, bits)
+            self.bits, self.terms = bits, terms
+        return self.terms
+
+
 def eval_spin_symbolic(braid, n: int) -> GradedScalar:
     """Closed-braid evaluation via the symbolic route; must agree with the
     matrix quantum-trace route wherever both are defined (n <= 3)."""
     if n > 3:
         raise ValueError("symbolic engine is restricted to n <= 3")
-    elem = AlgElement.unit(n)
-    for i, sign in braid.letters:
-        elem = elem * crossing_element(i, n, sign)
-    total = trace_eval(elem, braid.strands, n)
-    return total
+    return trace_eval(_Expansion(braid, n), braid.strands, n)
 
 
 # -- the Gavrilik--Klimyk side -----------------------------------------------------

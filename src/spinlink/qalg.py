@@ -618,41 +618,68 @@ class GradedScalar:
         return f"GradedScalar({self})"
 
 
+# -- packed coefficients (Kronecker substitution) ----------------------------
+# Evaluation at v^step = 2^bits is a ring homomorphism Z[v] -> Z: a product of
+# polynomials is one product of ints.  Balanced digits decode an int exactly when
+# every coefficient is below 2^(bits-1) in absolute value, which each packed route
+# proves by an l1 majorant: spinpoly and schur per word, iqsym per value.
+
+
+def _pack(poly: LaurentPoly, low: int, step: int, bits: int) -> int:
+    """poly / v^low evaluated at v^step = 2^bits (every exponent is low plus a
+    nonnegative multiple of step; coefficients are integers)."""
+    return sum(c << bits * ((e - low) // step) for e, c in poly.c.items())
+
+
+def _unpack(x: int, bits: int, offset: int, step: int) -> LaurentPoly:
+    """The Laurent polynomial whose coefficient at v^(offset + step k) is the k-th
+    balanced base-2^bits digit of x (each in [-2^(bits-1), 2^(bits-1)))."""
+    coeffs, mask, half = {}, (1 << bits) - 1, 1 << bits - 1
+    e = offset
+    while x:
+        digit = x & mask
+        if digit >= half:
+            digit -= 1 << bits
+        if digit:
+            coeffs[e] = digit
+        x = (x - digit) >> bits
+        e += step
+    return LaurentPoly(coeffs)
+
+
+def _slot_bits(bound: int) -> int:
+    """A slot width that decodes every coefficient of absolute value at most
+    bound, rounded up to a multiple of 8 so that words share packed tables."""
+    return -(-(bound.bit_length() + 1) // 8) * 8
+
+
 # -- linear combinations of words ------------------------------------------
 # A combination is a dict from a word (a tuple) to a nonzero coefficient; the
 # symbolic X-letter algebra and the idempotented Schur algebra share these.
-
-
-def _add_to(terms: dict, w, c) -> None:
-    """terms[w] += c, dropping w when the sum is zero."""
-    s = terms.get(w)
-    s = c if s is None else s + c
-    if s.is_zero():
-        terms.pop(w, None)
-    else:
-        terms[w] = s
 
 
 def _add_terms(a: dict, b: dict) -> dict:
     """The sum of two linear combinations of words."""
     out = dict(a)
     for w, c in b.items():
-        _add_to(out, w, c)
+        s = out.get(w)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(w, None)
+        else:
+            out[w] = s
     return out
 
 
-def _accumulate(terms: dict, w, c) -> None:
-    """terms[w] += c; a zero sum is kept (the caller drops it)."""
-    s = terms.get(w)
-    terms[w] = c if s is None else s + c
-
-
 def _concat_terms(a: dict, b: dict) -> dict:
-    """The product of two linear combinations, words concatenated."""
+    """The product of two linear combinations, words concatenated; a zero sum
+    is kept (the caller drops it)."""
     out: dict = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            _accumulate(out, w1 + w2, c1 * c2)
+            w, c = w1 + w2, c1 * c2
+            s = out.get(w)
+            out[w] = c if s is None else s + c
     return out
 
 

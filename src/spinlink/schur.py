@@ -41,9 +41,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
+from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, _pack, poly_divexact, qbinom
 from .rep import circle_value, orbit_sum
-from .spinpoly import BraidWord, _pack, _packed_trace, _word_bits
+from .spinpoly import BraidWord, _packed_trace, _word_bits
 
 GlWeight = tuple[int, ...]
 Letter = tuple[str, int, int]  # ("E"|"F", color, power >= 1)

@@ -57,7 +57,7 @@ import re
 from functools import lru_cache
 from math import gcd
 
-from .qalg import GradedScalar, LaurentPoly, binom2, report_entry
+from .qalg import GradedScalar, LaurentPoly, _pack, _slot_bits, _unpack, binom2
 from .rep import closure_orbit_sum, dominant_keys, doubled_weight
 
 
@@ -187,37 +187,9 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
 
 # -- packed coefficients ------------------------------------------------------------
 #
-# A vector is {state: int}.  Evaluation at t = 2^bits is a ring homomorphism
-# Z[t] -> Z, so a product of two polynomials is one product of two ints,
-# intermediate size never matters, and an entry that is 0 in Z may be dropped.
-
-
-def _pack(poly: LaurentPoly, low: int, step: int, bits: int) -> int:
-    """poly / v^low evaluated at v^step = 2^bits (every exponent is low plus a
-    nonnegative multiple of step; coefficients are integers)."""
-    return sum(c << bits * ((e - low) // step) for e, c in poly.c.items())
-
-
-def _unpack(x: int, bits: int, offset: int, step: int) -> LaurentPoly:
-    """The Laurent polynomial whose coefficient at v^(offset + step k) is the k-th
-    balanced base-2^bits digit of x (each in [-2^(bits-1), 2^(bits-1)))."""
-    coeffs, mask, half = {}, (1 << bits) - 1, 1 << bits - 1
-    e = offset
-    while x:
-        digit = x & mask
-        if digit >= half:
-            digit -= 1 << bits
-        if digit:
-            coeffs[e] = digit
-        x = (x - digit) >> bits
-        e += step
-    return LaurentPoly(coeffs)
-
-
-def _slot_bits(bound: int) -> int:
-    """A slot width that decodes every coefficient of absolute value at most
-    bound, rounded up to a multiple of 8 so that words share packed tables."""
-    return -(-(bound.bit_length() + 1) // 8) * 8
+# A vector is {state: int}, each int packed by qalg._pack.  The slot width is
+# fixed before the word runs (_word_bits), so an entry that is 0 in Z may be
+# dropped.
 
 
 @lru_cache(maxsize=4)
@@ -417,64 +389,3 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
             offset = sum(low[sign] for _, sign in word)
             totals[word] = totals.get(word, zero) + _unpack(total, bits, offset, step) * w
     return {word: GradedScalar(0, total) for word, total in totals.items()}
-
-
-def markov_suite(braid: BraidWord, n: int) -> list[dict]:
-    """Exercise the Markov moves on one braid: cyclic rotation and
-    conjugation invariance of the raw trace, the exact nu^{+-1} factor
-    under stabilization, the mirror rule, and full invariance of the
-    unframed normalization."""
-    report = []
-
-    def entry(name, ok, witness=None):
-        params = {"n": n, "strands": braid.strands, "word": list(braid.letters)}
-        report.append(report_entry(name, params, ok, witness))
-
-    base = eval_spin(braid, n)
-    m = braid.strands
-
-    ok, witness = True, None
-    for cut in range(1, len(braid.letters)):
-        rotated = BraidWord(m, braid.letters[cut:] + braid.letters[:cut])
-        got = eval_spin(rotated, n)
-        if got != base:
-            ok, witness = False, f"rotation at {cut}: {got} != {base}"
-            break
-    entry("cyclic-rotation", ok, witness)
-
-    ok, witness = True, None
-    for g in range(1, m):
-        for sign in (1, -1):
-            conj = BraidWord(m, ((g, sign),) + braid.letters + ((g, -sign),))
-            got = eval_spin(conj, n)
-            if got != base:
-                ok, witness = False, f"conjugation by ({g},{sign})"
-                break
-    entry("conjugation", ok, witness)
-
-    nu = stabilization_factor(n)
-    ok, witness = True, None
-    for sign in (1, -1):
-        stab = BraidWord(m + 1, braid.letters + ((m, sign),))
-        got = eval_spin(stab, n)
-        want = base * (nu if sign > 0 else nu.inv())
-        if got != want:
-            ok, witness = False, f"stabilization sign {sign}"
-    entry("stabilization-factor", ok, witness)
-
-    got = eval_spin(braid, n, mirror=True)
-    entry("mirror-rule", got == base.bar())
-
-    ok, witness = True, None
-    base_u = eval_spin(braid, n, normalization="unframed")
-    moves = [BraidWord(m + 1, braid.letters + ((m, 1),)), BraidWord(m + 1, braid.letters + ((m, -1),))]
-    if braid.letters:
-        moves.append(BraidWord(m, braid.letters[1:] + braid.letters[:1]))
-    for g in range(1, m):
-        moves.append(BraidWord(m, ((g, 1),) + braid.letters + ((g, -1),)))
-    for mv in moves:
-        if eval_spin(mv, n, normalization="unframed") != base_u:
-            ok, witness = False, "unframed changed under a Markov move"
-            break
-    entry("unframed-invariance", ok, witness)
-    return report

@@ -1,5 +1,8 @@
 """Code that only the tests run.
 
+normalize is the symbolic engine's rewriting (iqsym._reduce_top) as an
+AlgElement map, and markov_suite checks the Markov moves on the matrix route.
+
 The exponent-dict trace kernel is the oracle of the packed kernel
 (spinpoly._step, _diagonal, _packed_trace) that both production routes run.
 A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
@@ -10,8 +13,11 @@ are accumulated in place, and a LaurentPoly is built only for the diagonal.
 
 from fractions import Fraction
 
-from spinlink.qalg import GradedScalar, LaurentPoly
+from spinlink import iqsym
+from spinlink.iqsym import AlgElement
+from spinlink.qalg import GradedScalar, LaurentPoly, report_entry
 from spinlink.rep import LinOp, sig_keys
+from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor
 from spinlink.xcalc import braiding
 
 
@@ -83,3 +89,76 @@ def weighted_trace(crossings: list, states) -> LaurentPoly:
             vec = crossing_step(vec, j, img)
         total = total + closing_diagonal(vec, i, image, start) * weight
     return total
+
+
+def normalize(elem: AlgElement, m: int, n: int) -> AlgElement:
+    """Rewrite every word on m strands so that the top strand index m-1
+    occurs at most once (the form the trace rule strips off)."""
+    if n > 3:
+        raise ValueError("symbolic rewriting needs the rank <= 3 relation tables")
+    out = AlgElement(n, {}, canonical=True)
+    for word, coeff in elem.terms.items():
+        reduced = iqsym._decoded(lambda bits: iqsym._reduce_top(word, m - 1, n, bits))
+        out = out + AlgElement(n, reduced, canonical=True).scale(coeff)
+    return out
+
+
+def markov_suite(braid: BraidWord, n: int) -> list[dict]:
+    """Exercise the Markov moves on one braid: cyclic rotation and
+    conjugation invariance of the raw trace, the exact nu^{+-1} factor
+    under stabilization, the mirror rule, and full invariance of the
+    unframed normalization."""
+    report = []
+
+    def entry(name, ok, witness=None):
+        params = {"n": n, "strands": braid.strands, "word": list(braid.letters)}
+        report.append(report_entry(name, params, ok, witness))
+
+    base = eval_spin(braid, n)
+    m = braid.strands
+
+    ok, witness = True, None
+    for cut in range(1, len(braid.letters)):
+        rotated = BraidWord(m, braid.letters[cut:] + braid.letters[:cut])
+        got = eval_spin(rotated, n)
+        if got != base:
+            ok, witness = False, f"rotation at {cut}: {got} != {base}"
+            break
+    entry("cyclic-rotation", ok, witness)
+
+    ok, witness = True, None
+    for g in range(1, m):
+        for sign in (1, -1):
+            conj = BraidWord(m, ((g, sign),) + braid.letters + ((g, -sign),))
+            got = eval_spin(conj, n)
+            if got != base:
+                ok, witness = False, f"conjugation by ({g},{sign})"
+                break
+    entry("conjugation", ok, witness)
+
+    nu = stabilization_factor(n)
+    ok, witness = True, None
+    for sign in (1, -1):
+        stab = BraidWord(m + 1, braid.letters + ((m, sign),))
+        got = eval_spin(stab, n)
+        want = base * (nu if sign > 0 else nu.inv())
+        if got != want:
+            ok, witness = False, f"stabilization sign {sign}"
+    entry("stabilization-factor", ok, witness)
+
+    got = eval_spin(braid, n, mirror=True)
+    entry("mirror-rule", got == base.bar())
+
+    ok, witness = True, None
+    base_u = eval_spin(braid, n, normalization="unframed")
+    moves = [BraidWord(m + 1, braid.letters + ((m, 1),)), BraidWord(m + 1, braid.letters + ((m, -1),))]
+    if braid.letters:
+        moves.append(BraidWord(m, braid.letters[1:] + braid.letters[:1]))
+    for g in range(1, m):
+        moves.append(BraidWord(m, ((g, 1),) + braid.letters + ((g, -1),)))
+    for mv in moves:
+        if eval_spin(mv, n, normalization="unframed") != base_u:
+            ok, witness = False, "unframed changed under a Markov move"
+            break
+    entry("unframed-invariance", ok, witness)
+    return report

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from helpers import r_on_strands
+from helpers import markov_suite, r_on_strands
 from spinlink.clifford import qgrp_via_clifford, wenzl_C
 from spinlink.iqsym import eval_spin_symbolic
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, appendixA_suite, devil, qbinom
@@ -26,7 +26,7 @@ from spinlink.schur import (
     sl2_from_spin1,
     spin1_from_jones,
 )
-from spinlink.spinpoly import BraidWord, eval_spin, markov_suite, stabilization_factor, sweep_raw_traces
+from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
 from spinlink.xcalc import (
     braiding,
     build_X,

@@ -1,11 +1,13 @@
 """Tests for the symbolic X-letter engine and the coideal presentation."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import normalize
 from spinlink import iqsym
 from spinlink.iqsym import (
     AlgElement,
@@ -16,7 +18,6 @@ from spinlink.iqsym import (
     gk_substitution_scalar,
     idp_basis,
     iota_T,
-    normalize,
     one_strand_product,
     relation_table,
     trace_eval,
@@ -26,6 +27,28 @@ from spinlink.rep import circle_value
 from spinlink.spinpoly import BraidWord, eval_spin, sweep_raw_traces
 
 RANKS = (1, 2, 3)
+
+
+def random_words(seed, strands, shortest, longest, count):
+    """`count` random braid words on `strands` strands, each of a length from
+    `shortest` to `longest`."""
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        length = rng.randint(shortest, longest)
+        word = tuple((rng.randint(1, strands - 1), rng.choice([1, -1])) for _ in range(length))
+        words.append(BraidWord(strands, word))
+    return words
+
+
+def route_words(n):
+    """The 3-strand words of TestRouteEquivalence."""
+    return random_words(900 + n, 3, 0, 5, 10)
+
+
+def four_strand_words(n):
+    """The random 4-strand words of TestFourStrands."""
+    return random_words(4242 + n, 4, 1, 5, 5)
 
 
 def x_mult_table(n):
@@ -181,7 +204,9 @@ class TestLaurentCoefficients:
         # one-strand table refuses the product instead of storing it
         bad = RatFunc(LaurentPoly.one(), qint(2))
         monkeypatch.setattr(iqsym, "_x_as_polynomial", lambda k, n: (bad,) * (k + 1))
-        iqsym.one_strand_product.cache_clear()  # drop the products of the real table
+        # drop the products of the real table, and their packed copies
+        iqsym.one_strand_product.cache_clear()
+        iqsym._packed_products.cache_clear()
         with pytest.raises(ValueError, match="not a Laurent polynomial"):
             letters(2, (1, 1), (1, 1))
 
@@ -225,7 +250,7 @@ class TestTraceSums:
 class TestCaches:
     def test_caches_are_bounded(self):
         for fn in (iqsym._factor_product, iqsym._x_as_polynomial, iqsym.one_strand_product,
-                   iqsym.relation_table, iqsym.trace_rule_coeff):
+                   iqsym.relation_table, iqsym.trace_rule_coeff, iqsym._packed_products, iqsym._packed_trace_tables):
             assert fn.cache_info().maxsize is not None
         assert iqsym._trace_cache.bound == iqsym.TRACE_CACHE_MAX
 
@@ -239,6 +264,65 @@ class TestCaches:
                 b = BraidWord(4, word)
                 assert eval_spin_symbolic(b, n) == eval_spin(b, n), word
                 assert len(cache.interned) <= len(cache.values) <= cache.bound
+
+
+class TestPackedValues:
+    """Coefficients on the trace path are (x, s, L): x the polynomial over v^s at
+    v = 2^bits, L a majorant of its l1 norm; x is read only when L < 2^(bits-1)."""
+
+    def test_words_from_a_narrow_start_width(self, monkeypatch):
+        pattern = ((1, 3), (1, 2), (1, 2), (1, 3))
+        want = letters(3, *pattern)  # one coefficient of l1 norm 128
+        monkeypatch.setattr(iqsym, "START_BITS", 8)
+        monkeypatch.setattr(iqsym, "_trace_cache", iqsym._TraceCache(iqsym.TRACE_CACHE_MAX))
+        assert letters(3, *pattern) == want and iqsym._trace_cache.bits == 16
+        widened = 0
+        for n, words in [(n, route_words(n)) for n in RANKS] + [(n, four_strand_words(n)) for n in (1, 2)]:
+            for b in words:
+                # a fresh cache per word, so that every word starts at 8 bits
+                monkeypatch.setattr(iqsym, "_trace_cache", iqsym._TraceCache(iqsym.TRACE_CACHE_MAX))
+                assert eval_spin_symbolic(b, n) == eval_spin(b, n), (n, b.letters)
+                widened += iqsym._trace_cache.bits > 8
+        assert widened
+        for n in (1, 2):
+            # the words of test_all_words_up_to_length_four, on one cache that starts at 8 bits
+            monkeypatch.setattr(iqsym, "_trace_cache", iqsym._TraceCache(iqsym.TRACE_CACHE_MAX))
+            matrix = sweep_raw_traces(4, n, 4)
+            assert not [w for w, want in matrix.items() if eval_spin_symbolic(BraidWord(4, w), n) != want]
+            assert iqsym._trace_cache.bits > 8
+
+    def test_an_unfit_zero_is_neither_dropped_nor_interned(self):
+        bits = iqsym.START_BITS
+        word = ((2, 1), (1, 1))
+        for majorant, kept in ((1 << bits - 1, True), ((1 << bits - 1) - 1, False)):
+            zero = (0, 3, majorant)
+            terms = {}
+            iqsym._add_to(terms, word, zero, bits)
+            assert (terms == {word: zero}) is kept
+            assert (iqsym._canonicalize({word: zero}, 2, bits) == {word: zero}) is kept
+            cache = iqsym._TraceCache(10)
+            cache.store((2, 3, word), zero)
+            assert (not cache.interned) is kept
+
+    def test_packing_a_non_integer_coefficient_raises(self):
+        half = LaurentPoly.const(Fraction(1, 2))
+        with pytest.raises(ValueError, match="not an integer"):
+            iqsym._pack_value(half, iqsym.START_BITS)
+        with pytest.raises(ValueError, match="not an integer"):
+            trace_eval(AlgElement(2, {((1, 1),): half}, canonical=True), 2, 2)
+
+    def test_no_table_or_trace_value_outlives_a_width_change(self, monkeypatch):
+        cache = iqsym._TraceCache(iqsym.TRACE_CACHE_MAX)
+        monkeypatch.setattr(iqsym, "_trace_cache", cache)
+        braid = BraidWord(3, ((2, 1), (1, -1), (2, 1)))  # the top strand twice: a relation row is read
+        want = eval_spin_symbolic(braid, 2)
+        tables = (iqsym._packed_products, iqsym._packed_trace_tables)
+        assert cache.values and all(fn.cache_info().currsize for fn in tables)
+        cache.widen()
+        assert cache.bits == 2 * iqsym.START_BITS and not cache.values and not cache.interned
+        assert not any(fn.cache_info().currsize for fn in tables)
+        # a value packed at the old width would decode to something else here
+        assert eval_spin_symbolic(braid, 2) == want
 
 
 class TestCrossings:
@@ -257,12 +341,8 @@ class TestCrossings:
 class TestRouteEquivalence:
     @pytest.mark.parametrize("n", RANKS)
     def test_samples(self, n):
-        rng = random.Random(900 + n)
-        for _ in range(10):
-            length = rng.randint(0, 5)
-            word = tuple((rng.randint(1, 2), rng.choice([1, -1])) for _ in range(length))
-            b = BraidWord(3, word)
-            assert eval_spin_symbolic(b, n) == eval_spin(b, n), word
+        for b in route_words(n):
+            assert eval_spin_symbolic(b, n) == eval_spin(b, n), b.letters
 
     def test_stabilized_unknot(self):
         from spinlink.spinpoly import stabilization_factor
@@ -299,12 +379,8 @@ class TestFourStrands:
     @pytest.mark.parametrize("n", (1, 2))
     def test_route_equivalence(self, n):
         # exercises the deeper rewriting recursion: two nested strip-offs
-        rng = random.Random(4242 + n)
-        for _ in range(5):
-            length = rng.randint(1, 5)
-            word = tuple((rng.randint(1, 3), rng.choice([1, -1])) for _ in range(length))
-            b = BraidWord(4, word)
-            assert eval_spin_symbolic(b, n) == eval_spin(b, n), word
+        for b in four_strand_words(n):
+            assert eval_spin_symbolic(b, n) == eval_spin(b, n), b.letters
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_all_words_up_to_length_four(self, n):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import crossing_step
+from helpers import crossing_step, markov_suite
 from spinlink import cli, spinpoly
-from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, qint
+from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, _pack, _slot_bits, _unpack, qint
 from spinlink.schur import eval_slN, eval_slN_annular, kauffman_bracket, kauffman_jones
 from spinlink.rep import circle_value, complement, qJ, subset_iter
 from spinlink.spinpoly import (
@@ -19,12 +19,8 @@ from spinlink.spinpoly import (
     BraidWord,
     _crossing_data,
     _orbit_closure,
-    _pack,
     _raw_trace,
-    _slot_bits,
-    _unpack,
     eval_spin,
-    markov_suite,
     parse_braid,
     stabilization_factor,
     sweep_raw_traces,

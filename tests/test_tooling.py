@@ -37,7 +37,8 @@ schur.eval_slN(braid, (1, 1, 1), 2)
 schur.eval_slN_annular(braid, (1, 1, 1), 2)
 assert cli.main(["verify", "xcalc", "--n", "1"]) == 0
 metrics = tracer.layer_metrics(t)
-names = ("xcalc.build_X.calls", "spinpoly.crossing_data.nnz", "rep.linop_matmul.calls", "schur.annular_eval.calls")
+names = ("xcalc.build_X.calls", "spinpoly.crossing_data.nnz", "rep.linop_matmul.calls", "schur.annular_eval.calls",
+         "iqsym.trace_word.calls", "iqsym.expanded_terms")
 missing = {name: metrics[name] for name in names if not metrics[name] > 0}
 assert not missing, missing
 """
