@@ -20,6 +20,7 @@ identity battery over all of these.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
 
@@ -235,8 +236,6 @@ def _content_and_primitive(p: LaurentPoly) -> tuple[Fraction, dict[int, int]]:
     and positive leading coefficient, shifted to valuation 0."""
     if not p.c:
         return Fraction(0), {}
-    import math
-
     val = p.v_valuation()
     den_lcm = 1
     for c in p.c.values():
@@ -268,18 +267,16 @@ def _eliminate(r: dict[int, int], y: dict[int, int], shift: int, f: int) -> None
 
 
 def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Monic gcd over Q, as a Laurent polynomial with valuation 0.
+    """The gcd in canonical form: integer coefficients with content 1, a
+    positive leading coefficient and valuation 0.
 
     Runs a primitive pseudo-remainder sequence over the integers, which is
-    far cheaper than fraction arithmetic."""
-    if a.is_zero():
-        return _shifted_monic(b)
-    if b.is_zero():
-        return _shifted_monic(a)
-    import math
-
+    far cheaper than fraction arithmetic; each remainder is put in canonical
+    form, and the last nonzero one is the gcd."""
     _, x = _content_and_primitive(a)
     _, y = _content_and_primitive(b)
+    if not x or not y:
+        return LaurentPoly(x or y)
     if max(x) < max(y):
         x, y = y, x
     while y:
@@ -307,44 +304,19 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             val = min(r)
             r = {e - val: c // (g * sgn) for e, c in r.items()}
         x, y = y, r
-    lead = Fraction(x[max(x)])
-    if lead == 1:
-        return LaurentPoly(x)
-    return LaurentPoly({e: c / lead for e, c in x.items()})
-
-
-def _shifted_monic(p: LaurentPoly) -> LaurentPoly:
-    if p.is_zero():
-        return _ZERO
-    val, lead = p.v_valuation(), p.leading_coeff()
-    return LaurentPoly({e - val: Fraction(c) / lead if lead != 1 else c for e, c in p.c.items()})
+    return LaurentPoly(x)
 
 
 def poly_divexact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division a / b; raises if b does not divide a.
-
-    Divides the primitive integer parts: if b divides a, their quotient has
-    integer coefficients (Gauss's lemma), so every step divides exactly."""
+    """Exact division a / b; raises if b does not divide a.  With b = content
+    * v^val * primitive, a / primitive is poly_quotient's one long division."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return _ZERO
-    ca, x = _content_and_primitive(a)
-    cb, y = _content_and_primitive(b)
-    dy = max(y)
-    ly = y[dy]
-    q: dict[int, int] = {}
-    while x and max(x) >= dy:
-        dx = max(x)
-        f, rem = divmod(x[dx], ly)
-        if rem:
-            raise ValueError("inexact polynomial division")
-        q[dx - dy] = f
-        _eliminate(x, y, dx - dy, f)
-    if x:
+    content, prim = _content_and_primitive(b)
+    q = poly_quotient(a, LaurentPoly(prim))
+    if q is None:
         raise ValueError("inexact polynomial division")
-    scale, shift = _norm_coeff(ca / cb), a.v_valuation() - b.v_valuation()
-    return LaurentPoly({e + shift: c * scale for e, c in q.items()})
+    return q.shift(-b.v_valuation()).scale(1 / content)
 
 
 def poly_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -362,8 +334,6 @@ def poly_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
         return _ZERO
     scale = 1
     if any(type(c) is not int for c in x.values()):
-        import math
-
         for c in x.values():
             d = Fraction(c).denominator
             scale = scale * d // math.gcd(scale, d)

@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import qalg
-from .qalg import LaurentPoly, RatFunc, _content_and_primitive, binom2, d_value, qint, qint_base
+from .qalg import LaurentPoly, RatFunc, binom2, d_value, qint, qint_base
 
 Key = tuple[int, ...]
 Sig = tuple[str, ...]
@@ -130,17 +130,11 @@ def coroot_pairing(i: int, wt: tuple[Fraction, ...], n: int) -> Fraction:
 _ONE = LaurentPoly.one()
 
 
-def _primitive(p: LaurentPoly) -> LaurentPoly:
-    """p without its rational content and its power of v, with a positive
-    leading coefficient: the canonical form of a denominator."""
-    return LaurentPoly(_content_and_primitive(p)[1])
-
-
 def _cofactors(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """(a', b') with a * b' = b * a' = lcm(a, b), for canonical denominators."""
     if a == b:
         return _ONE, _ONE
-    g = _primitive(qalg.poly_gcd(a, b))
+    g = qalg.poly_gcd(a, b)
     return qalg.poly_divexact(a, g), qalg.poly_divexact(b, g)
 
 
@@ -210,7 +204,7 @@ class LinOp:
             for j, v in col.items():
                 w = qalg.poly_quotient(v, g)
                 if w is None:
-                    h = _primitive(qalg.poly_gcd(g, v))
+                    h = qalg.poly_gcd(g, v)
                     if h.is_one():
                         return LinOp(n, dom, cod, cols, den)
                     ratio = qalg.poly_divexact(g, h)
@@ -291,7 +285,7 @@ class LinOp:
             return self
         den = self.den
         if len(c.c) > 1 and not den.is_one():
-            g = _primitive(qalg.poly_gcd(c, den))
+            g = qalg.poly_gcd(c, den)
             if not g.is_one():
                 c, den = qalg.poly_divexact(c, g), qalg.poly_divexact(den, g)
         return LinOp(self.n, self.dom, self.cod, _cols_times(self.cols, c), den)

@@ -18,10 +18,11 @@ operator commutes with U_q(gl_N), so only states of dominant gl_N weight
 are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum, shared
 with the spin route).  The trace runs on spinpoly's packed kernel: a vector
 maps states to ints, each a Laurent polynomial divided by its lowest power
-of v and evaluated at v^2 = 2^B.  The image of a column pair is still built
-the first time a state reaches it: each crossing's tables fill on lookup,
-one with the images' l1 norms for the per-word bound B, and one per
-(B, offset) with the images packed.  The cost is linear in the crossings.
+of v and evaluated at v^2 = 2^B.  A crossing is a spinpoly.Crossing whose
+image of a column pair is built the first time a state reaches it; its
+tables of l1 norms (for the per-word bound B) and of packed images fill on
+lookup too, and live as long as the crossing.  The cost is linear in the
+crossings.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -37,13 +38,12 @@ i.e. A = q^{1/2}).
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, _pack, poly_divexact, qbinom
+from .qalg import GradedScalar, LaurentPoly, _add_terms, _concat_terms, poly_divexact, qbinom
 from .rep import circle_value, orbit_sum
-from .spinpoly import BraidWord, _packed_trace, _word_bits
+from .spinpoly import BraidWord, Crossing, _packed_trace
 
 GlWeight = tuple[int, ...]
 Letter = tuple[str, int, int]  # ("E"|"F", color, power >= 1)
@@ -313,66 +313,33 @@ def _divided_power(kind: str, s: int, u: int, w: int, N: int) -> dict[tuple[int,
     return out
 
 
-class _LazyTable(dict):
-    """A crossing's table pair -> {pair': int}, filled on lookup: the pair's
-    image under the crossing, each coefficient mapped by `entry`."""
-
-    __slots__ = ("image", "entry")
-
-    def __init__(self, image, entry):
-        super().__init__()
-        self.image, self.entry = image, entry
-
-    def __missing__(self, pair):
-        row = self[pair] = {out: self.entry(c) for out, c in self.image(pair).items()}
-        return row
-
-
-class _Crossing:
+class _Crossing(Crossing):
     """c^{+-} 1_(a, b) on two adjacent columns of colors a, b: the terms of
     c_pm read as F^{(f)} E^{(e)} operators.  The image of a column pair is
-    built the first time a state reaches it; low is the lowest v-exponent
-    among the images built so far, and norms is the table of their l1 norms."""
+    built the first time it is looked up."""
 
-    __slots__ = ("N", "terms", "images", "low", "norms")
+    __slots__ = ("N", "terms")
 
     def __init__(self, N: int, a: int, b: int, sign: int):
-        self.N = N
-        self.terms = []
+        super().__init__()
+        self.N, self.terms = N, []
         for word, coeff in c_pm(1, (a, b), N, sign).terms.items():
             powers = {kind: r for kind, _, r in word}
             self.terms.append((powers.get("E", 0), powers.get("F", 0), coeff))
-        self.images: dict[tuple[int, int], dict[tuple[int, int], LaurentPoly]] = {}
-        self.low = math.inf
-        self.norms = _LazyTable(self.image, lambda c: sum(map(abs, c.c.values())))
 
-    def image(self, pair: tuple[int, int]) -> dict[tuple[int, int], LaurentPoly]:
-        img = self.images.get(pair)
-        if img is None:
-            u, w = pair
-            acc: dict[tuple[int, int], LaurentPoly] = {}
-            for e, f, coeff in self.terms:
-                for (u1, w1), x in _divided_power("E", e, u, w, self.N).items():
-                    for out, y in _divided_power("F", f, u1, w1, self.N).items():
-                        term = coeff.shift(2 * (x + y))
-                        acc[out] = acc[out] + term if out in acc else term
-            img = self.images[pair] = {out: c for out, c in acc.items() if c}
-            self.low = min([self.low, *(e for c in img.values() for e in c.c)])
+    def __missing__(self, pair: tuple[int, int]) -> dict[tuple[int, int], LaurentPoly]:
+        u, w = pair
+        acc: dict[tuple[int, int], LaurentPoly] = {}
+        for e, f, coeff in self.terms:
+            for (u1, w1), x in _divided_power("E", e, u, w, self.N).items():
+                for out, y in _divided_power("F", f, u1, w1, self.N).items():
+                    term = coeff.shift(2 * (x + y))
+                    acc[out] = acc[out] + term if out in acc else term
+        img = self[pair] = {out: c for out, c in acc.items() if c}
         return img
 
 
-@lru_cache(maxsize=64)
-def _crossing(N: int, a: int, b: int, sign: int) -> _Crossing:
-    # tables packed from an earlier crossing must not outlive it
-    _packed.cache_clear()
-    return _Crossing(N, a, b, sign)
-
-
-@lru_cache(maxsize=32)
-def _packed(N: int, a: int, b: int, sign: int, bits: int, low: int) -> _LazyTable:
-    """The crossing's images packed at the slot v^2 = 2^bits from v^low: every
-    type A exponent is even (the q^{1/N} of a value lives in its offset)."""
-    return _LazyTable(_crossing(N, a, b, sign).image, lambda c: _pack(c, low, 2, bits))
+_crossing = lru_cache(maxsize=64)(_Crossing)
 
 
 @lru_cache(maxsize=16)
@@ -413,20 +380,11 @@ def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
     classes: dict[LaurentPoly, list] = {}
     for start, weight in _dominant_states(a, N):
         classes.setdefault(weight, []).append(start)
-    if not braid.letters:
-        return sum((w.scale(len(starts)) for w, starts in classes.items()), LaurentPoly.zero())
     crossings, cur = [], list(a)
     for i, sign in braid.letters:
-        crossings.append((i, (cur[i - 1], cur[i], sign)))
+        crossings.append((i, _crossing(N, cur[i - 1], cur[i], sign)))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    data = {key: _crossing(N, *key) for _, key in crossings}
-    # the bound pass builds every image the packed pass reaches (its support is
-    # the larger), so each crossing's low is final for this word; the braiding
-    # is invertible, so every crossing builds a nonzero image and low is finite
-    bits = _word_bits({key: c.norms for key, c in data.items()}, crossings, classes.values())
-    tables = {key: _packed(N, *key, bits, c.low) for key, c in data.items()}
-    offset = sum(data[key].low for _, key in crossings)
-    return _packed_trace(crossings, tables, classes, bits, offset, 2)
+    return _packed_trace(crossings, classes)
 
 
 def _annular_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:

@@ -24,16 +24,16 @@ its image is read off, and the diagonals of the columns that share an orbit
 sum are added before that sum multiplies them.
 
 Coefficients are packed (Kronecker substitution): a vector maps states to
-ints, each a Laurent polynomial evaluated at the v-slot t = 2^B after each
-sign's crossing data is shifted by its lowest exponent and its exponents are
-counted in steps of their gcd.  A crossing step is one int multiply-add per
-(state, image entry), on pair-level tables packed once per (n, sign, B).
-B comes from a bound computed per word: the all-ones vector of each orbit-
-sum class pushed through the entrywise l1 norms of the crossing data.  The
-class sums are decoded by balanced base-2^B digits, exactly when every
-coefficient is below 2^(B-1) in absolute value, which the bound ensures.
-The kernel (_step, _diagonal, _word_bits, _packed_trace) is shared with
-schur's sl_N weight-space route, which packs its crossing images lazily.
+ints, each a Laurent polynomial divided by its crossing's lowest power of v
+and evaluated at v^2 = 2^B (every exponent of the braiding has the parity
+of n), so a crossing step is one int multiply-add per (state, image entry).
+A Crossing holds its images, their lowest exponent, and tables filled on
+lookup: the images' l1 norms, and the images packed, one table per width B.
+B is bounded per word by the all-ones vector of each orbit-sum class pushed
+through the norms.  The class sums are decoded by balanced base-2^B digits,
+exactly when every coefficient is below 2^(B-1) in absolute value, which the
+bound ensures.  Crossing and the kernel (_step, _diagonal, _word_bits,
+_packed_trace) are shared with schur's sl_N weight-space route.
 Three normalizations are exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
@@ -55,7 +55,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
-from math import gcd
+from math import inf
 
 from .qalg import GradedScalar, LaurentPoly, _pack, _slot_bits, _unpack, binom2
 from .rep import closure_orbit_sum, dominant_keys, doubled_weight
@@ -159,21 +159,18 @@ def braiding(n: int, fam, sign: int):
 
 
 @lru_cache(maxsize=8)
-def _crossing_data(n: int, sign: int) -> tuple[dict, LaurentPoly]:
-    """The braiding (sign 1) or its inverse (sign -1) on S (x) S as its
-    column map (a, b) -> {(c, d) -> LaurentPoly}, plus its denominator,
+def _crossing_data(n: int, sign: int) -> tuple[Crossing, LaurentPoly]:
+    """The braiding (sign 1) or its inverse (sign -1) on S (x) S as a Crossing,
+    its column map (a, b) -> {(c, d) -> LaurentPoly}, plus its denominator,
     which is 1: the braiding is a Laurent combination of the X^(k), whose
     entries are Laurent with integer coefficients.  Any other denominator or
     coefficient raises ValueError."""
-    # tables packed from earlier crossing data must not outlive it
-    _slot_layout.cache_clear()
-    _packed_crossings.cache_clear()
     op = braiding(n, _x_family(n), sign)
     if not op.den.is_one():
         raise ValueError(f"the braiding at n={n} has denominator {op.den}, not 1")
     if any(type(c) is not int for col in op.cols.values() for p in col.values() for c in p.c.values()):
         raise ValueError(f"the braiding at n={n} has a coefficient that is not an integer")
-    return op.cols, op.den
+    return Crossing(op.cols), op.den
 
 
 @lru_cache(maxsize=16)
@@ -192,36 +189,50 @@ def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
 # dropped.
 
 
-@lru_cache(maxsize=4)
-def _slot_layout(n: int) -> tuple[int, dict[int, int], dict[int, dict]]:
-    """How both signs' crossing data is packed: the slot step (the gcd of the
-    exponent gaps, 2 at every n <= 5), each sign's lowest exponent, and each
-    sign's pair-level table with every entry replaced by the sum of the
-    absolute values of its coefficients (the majorant of _word_bits)."""
-    data = {s: _crossing_data(n, s)[0] for s in (1, -1)}
-    exponents = {s: [e for col in cols.values() for p in col.values() for e in p.c] for s, cols in data.items()}
-    low = {s: min(es) for s, es in exponents.items()}
-    step = gcd(*(e - low[s] for s, es in exponents.items() for e in es)) or 1
-    norms = {s: {pair: {image: sum(map(abs, p.c.values())) for image, p in col.items()} for pair, col in cols.items()}
-             for s, cols in data.items()}
-    return step, low, norms
+class _Table(dict):
+    """A table pair -> {pair': int}, filled on lookup: the crossing's image
+    of the pair, each coefficient mapped by `entry`."""
+
+    __slots__ = ("crossing", "entry")
+
+    def __init__(self, crossing: "Crossing", entry):
+        super().__init__()
+        self.crossing, self.entry = crossing, entry
+
+    def __missing__(self, pair):
+        row = self[pair] = {out: self.entry(c) for out, c in self.crossing[pair].items()}
+        return row
 
 
-def _layout(n: int) -> tuple[int, dict[int, int], dict[int, dict]]:
-    """_slot_layout(n), read after _crossing_data(n, +-1): a rebuild of the
-    crossing data drops every table packed from the old one."""
-    for s in (1, -1):
-        _crossing_data(n, s)
-    return _slot_layout(n)
+class Crossing(dict):
+    """A crossing's images pair -> {pair': LaurentPoly} (a subclass may build
+    them in __missing__), with low, the lowest exponent among the images
+    stored, norms, the table of their l1 norms, and packed(bits), the table of
+    them packed at v^2 = 2^bits from v^low.  Every exponent of an image has
+    the parity of low.  The tables hang off the images, so none outlives them."""
 
+    __slots__ = ("low", "norms", "_packed")
 
-@lru_cache(maxsize=16)
-def _packed_crossings(n: int, sign: int, bits: int) -> dict[tuple, dict[tuple, int]]:
-    """The crossing data of one sign as a pair-level table pair -> {pair': int},
-    each entry packed at the v-slot 2^bits."""
-    step, low, _ = _slot_layout(n)
-    return {pair: {image: _pack(p, low[sign], step, bits) for image, p in col.items()}
-            for pair, col in _crossing_data(n, sign)[0].items()}
+    def __init__(self, images: dict | None = None):
+        super().__init__()
+        self.low, self._packed = inf, {}
+        self.norms = _Table(self, lambda c: sum(map(abs, c.c.values())))
+        for pair, image in (images or {}).items():
+            self[pair] = image
+
+    def __setitem__(self, pair, image: dict) -> None:
+        super().__setitem__(pair, image)
+        low = min([self.low, *(e for c in image.values() for e in c.c)])
+        if low < self.low:
+            # every packed table was read from the old low
+            self.low, self._packed = low, {}
+
+    def packed(self, bits: int) -> _Table:
+        """The images packed at v^2 = 2^bits from v^low: one table per width."""
+        if bits not in self._packed:
+            low = self.low
+            self._packed[bits] = _Table(self, lambda c: _pack(c, low, 2, bits))
+        return self._packed[bits]
 
 
 def _step(vec: dict, i: int, table: dict) -> dict:
@@ -249,7 +260,7 @@ def _diagonal(vec: dict, i: int, table: dict, start: tuple) -> int:
     return total
 
 
-def _word_bits(norms: dict, crossings: list, classes) -> int:
+def _word_bits(crossings: list, classes) -> int:
     """The slot width for one word: each class's all-ones vector pushed through
     the majorant of every crossing (the table of coefficient norms), and the
     largest sum of the result bounds every coefficient of that class's diagonal
@@ -257,8 +268,8 @@ def _word_bits(norms: dict, crossings: list, classes) -> int:
     bound = 0
     for columns in classes:
         vec = dict.fromkeys(columns, 1)
-        for i, sign in crossings:
-            vec = _step(vec, i, norms[sign])
+        for i, crossing in crossings:
+            vec = _step(vec, i, crossing.norms)
         bound = max(bound, sum(vec.values()))
     return _slot_bits(bound)
 
@@ -273,33 +284,31 @@ def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
     for column in _tuples(1 << n, m):
         if column in weights:
             classes.setdefault(weights[column], []).append(column)
-    if not braid.letters:
-        return GradedScalar(0, sum((w.scale(len(cols)) for w, cols in classes.items()), LaurentPoly.zero()))
-    # the crossing data is only built when a word needs it
-    step, low, norms = _layout(n)
     # operator product in word order: the rightmost letter acts first
-    crossings = list(reversed(braid.letters))
-    bits = _word_bits(norms, crossings, classes.values())
-    tables = {s: _packed_crossings(n, s, bits) for s in (1, -1)}
-    offset = sum(low[sign] for _, sign in braid.letters)
-    return GradedScalar(0, _packed_trace(crossings, tables, classes, bits, offset, step))
+    crossings = [(i, _crossing_data(n, sign)[0]) for i, sign in reversed(braid.letters)]
+    return GradedScalar(0, _packed_trace(crossings, classes))
 
 
-def _packed_trace(crossings: list, tables: dict, classes: dict, bits: int, offset: int, step: int) -> LaurentPoly:
+def _packed_trace(crossings: list, classes: dict) -> LaurentPoly:
     """The sum over the classes {weight: start states} of weight times the sum of
-    the class's diagonal entries of the crossings' product, each crossing (i, key)
-    acting through tables[key] and the first acting first.  Each class sum is
-    decoded once, with the word's exponent offset and slot step."""
-    *body, (i, key) = crossings
+    the class's diagonal entries of the product of the crossings (i, Crossing),
+    the first acting first.  Each class sum is decoded once."""
+    if not crossings:
+        return sum((w.scale(len(starts)) for w, starts in classes.items()), LaurentPoly.zero())
+    # the bound pass builds every image the packed pass reaches (its support is the
+    # larger), so low is final for this word, and finite: every crossing is invertible
+    bits = _word_bits(crossings, classes.values())
+    offset = sum(crossing.low for _, crossing in crossings)
+    *body, (i, last) = [(j, crossing.packed(bits)) for j, crossing in crossings]
     total = LaurentPoly.zero()
     for w, starts in classes.items():
         diagonal = 0
         for start in starts:
             vec = {start: 1}
-            for j, k in body:
-                vec = _step(vec, j, tables[k])
-            diagonal += _diagonal(vec, i, tables[key], start)
-        total = total + _unpack(diagonal, bits, offset, step) * w
+            for j, table in body:
+                vec = _step(vec, j, table)
+            diagonal += _diagonal(vec, i, last, start)
+        total = total + _unpack(diagonal, bits, offset, 2) * w
     return total
 
 
@@ -363,10 +372,10 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     by_weight: dict[LaurentPoly, list] = {}
     for column, w in _orbit_closure(n, m).items():
         by_weight.setdefault(w, []).append(column)
-    step, low, norms = _layout(n)
-    column_norm = max(sum(col.values()) for table in norms.values() for col in table.values())
+    data = {s: _crossing_data(n, s)[0] for s in (1, -1)}
+    column_norm = max(sum(c.norms[pair].values()) for c in data.values() for pair in c)
     bits = _slot_bits(sum(map(len, by_weight.values())) * column_norm ** max_len)
-    tables = {s: _packed_crossings(n, s, bits) for s in (1, -1)}
+    tables = {s: c.packed(bits) for s, c in data.items()}
 
     zero = LaurentPoly.zero()
     totals: dict[tuple, LaurentPoly] = {}
@@ -386,6 +395,6 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
                     else:
                         sums[child] = sums.get(child, 0) + _diagonal(vec, i, tables[sign], column)
         for word, total in sums.items():
-            offset = sum(low[sign] for _, sign in word)
-            totals[word] = totals.get(word, zero) + _unpack(total, bits, offset, step) * w
+            offset = sum(data[sign].low for _, sign in word)
+            totals[word] = totals.get(word, zero) + _unpack(total, bits, offset, 2) * w
     return {word: GradedScalar(0, total) for word, total in totals.items()}

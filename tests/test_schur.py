@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from helpers import weighted_trace
-from spinlink import schur
-from spinlink.qalg import GradedScalar, LaurentPoly, poly_divexact, qbinom, qint
+from spinlink import schur, spinpoly
+from spinlink.qalg import GradedScalar, LaurentPoly, _pack, poly_divexact, qbinom, qint
 from spinlink.rep import orbit_sum
 from spinlink.schur import (
     SchurElement,
@@ -361,7 +361,7 @@ class TestWeightSpaceRoute:
 
     def test_operator_caches_are_bounded(self):
         caches = {name for name, fn in vars(schur).items() if hasattr(fn, "cache_info")}
-        assert {"_crossing", "_packed", "_dominant_states", "orbit_sum", "_binom_merge"} <= caches
+        assert {"_crossing", "_dominant_states", "orbit_sum", "_binom_merge"} <= caches
         for name in caches:
             assert getattr(schur, name).cache_info().maxsize is not None, name
 
@@ -370,7 +370,7 @@ def _dict_kernel_pairing(braid, a, N):
     """The weight-space pairing by the exponent-dict oracle, on the same crossing images."""
     crossings, cur = [], list(a)
     for i, sign in braid.letters:
-        crossings.append((i, schur._crossing(N, cur[i - 1], cur[i], sign).image))
+        crossings.append((i, schur._crossing(N, cur[i - 1], cur[i], sign).__getitem__))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
     return weighted_trace(crossings, schur._dominant_states(a, N))
 
@@ -440,6 +440,35 @@ class TestPackedPairing:
         monkeypatch.setattr(schur, "c_pm", negated)
         try:
             assert schur._weight_space_pairing(b, a, N) == -want
+        finally:
+            schur._crossing.cache_clear()
+
+    def test_packed_tables_stay_bounded_per_crossing(self, monkeypatch):
+        # seeded with the image of (row 3, row 3) alone, whose lowest exponent is 2,
+        # the crossing's low falls to -2 once a word reaches the other pairs
+        widths, word_bits = set(), spinpoly._word_bits
+
+        def recorded(*args):
+            bits = word_bits(*args)
+            widths.add(bits)
+            return bits
+
+        monkeypatch.setattr(spinpoly, "_word_bits", recorded)
+        schur._crossing.cache_clear()
+        try:
+            crossing = schur._crossing(3, 1, 1, -1)
+            crossing[(4, 4)]
+            crossing.packed(8)[(4, 4)]
+            assert crossing.low == 2
+            for text in ("-1 -1", "-1 2 -1 2", "-1 -2 -1 -2 -1 -2"):
+                b = parse_braid(text, 3)
+                assert schur._weight_space_pairing(b, (1, 1, 1), 3) == _dict_kernel_pairing(b, (1, 1, 1), 3), text
+            assert crossing.low == -2 and len(widths) > 1
+            # at most one table per width, each packed from the current low
+            assert crossing._packed and set(crossing._packed) <= widths
+            for bits, table in crossing._packed.items():
+                for pair, row in table.items():
+                    assert row == {out: _pack(c, -2, 2, bits) for out, c in crossing[pair].items()}
         finally:
             schur._crossing.cache_clear()
 

@@ -447,7 +447,7 @@ class TestProductionRoute:
 
     def test_caches_are_bounded(self):
         caches = {name for name, fn in vars(spinpoly).items() if hasattr(fn, "cache_info")}
-        assert {"_x_family", "_crossing_data", "_orbit_closure", "_slot_layout", "_packed_crossings"} <= caches
+        assert {"_x_family", "_crossing_data", "_orbit_closure"} <= caches
         for name in caches:
             assert getattr(spinpoly, name).cache_info().maxsize is not None, name
 
