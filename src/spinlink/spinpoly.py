@@ -34,6 +34,14 @@ through the norms.  The class sums are decoded by balanced base-2^B digits,
 exactly when every coefficient is below 2^(B-1) in absolute value, which the
 bound ensures.  Crossing and the kernel (_step, _diagonal, _word_bits,
 _packed_trace) are shared with schur's sl_N weight-space route.
+
+On at most three strands the trace is taken on the highest-weight
+multiplicity spaces instead (hwblocks), which are far smaller: of total
+dimension 10 against 40 dominant start states at n = 3.  On four or more
+strands finding them costs more than the kernel spends on a word (0.7 s at
+n = 3, m = 4, against 14-16 ms per word), so those words keep the kernel,
+as do sweep_raw_traces and the tests' oracles.
+
 Three normalizations are exposed:
 
   raw       the quantum trace of the braid operator (a framed invariant;
@@ -209,13 +217,15 @@ class Crossing(dict):
     them in __missing__), with low, the lowest exponent among the images
     stored, norms, the table of their l1 norms, and packed(bits), the table of
     them packed at v^2 = 2^bits from v^low.  Every exponent of an image has
-    the parity of low.  The tables hang off the images, so none outlives them."""
+    the parity of low.  blocks holds the tables hwblocks derives from the
+    images, by (strand count, strand).  The tables hang off the images, so
+    none outlives them."""
 
-    __slots__ = ("low", "norms", "_packed")
+    __slots__ = ("low", "norms", "_packed", "blocks")
 
     def __init__(self, images: dict | None = None):
         super().__init__()
-        self.low, self._packed = inf, {}
+        self.low, self._packed, self.blocks = inf, {}, {}
         self.norms = _Table(self, lambda c: sum(map(abs, c.c.values())))
         for pair, image in (images or {}).items():
             self[pair] = image
@@ -274,19 +284,31 @@ def _word_bits(crossings: list, classes) -> int:
     return _slot_bits(bound)
 
 
+# braids on at most this many strands are traced on highest-weight blocks (hwblocks)
+_BLOCK_STRANDS = 3
+
+
 def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
-    """Tr_q of the braid operator: the diagonal entries of the dominant-weight
-    start columns, summed per orbit closure weight on packed coefficients, and
-    each sum weighted once."""
+    """Tr_q of the braid operator: on the highest-weight blocks for at most
+    three strands, else by the dominant-state kernel, the diagonal entries of
+    the dominant-weight start columns summed per orbit closure weight on
+    packed coefficients, each sum weighted once."""
     m = braid.strands
-    weights = _orbit_closure(n, m)
-    classes: dict[LaurentPoly, list] = {}
-    for column in _tuples(1 << n, m):
-        if column in weights:
-            classes.setdefault(weights[column], []).append(column)
     # operator product in word order: the rightmost letter acts first
     crossings = [(i, _crossing_data(n, sign)[0]) for i, sign in reversed(braid.letters)]
-    return GradedScalar(0, _packed_trace(crossings, classes))
+    if m <= _BLOCK_STRANDS:
+        from . import hwblocks  # on the first such word: eval_slN and the symbolic engine never load it
+
+        return GradedScalar(0, hwblocks.block_trace(crossings, n, m))
+    return GradedScalar(0, _packed_trace(crossings, _orbit_classes(n, m)))
+
+
+def _orbit_classes(n: int, m: int) -> dict[LaurentPoly, list]:
+    """The dominant start columns of S^(x)m grouped by orbit closure weight, in order."""
+    classes: dict[LaurentPoly, list] = {}
+    for column, w in _orbit_closure(n, m).items():
+        classes.setdefault(w, []).append(column)
+    return classes
 
 
 def _packed_trace(crossings: list, classes: dict) -> LaurentPoly:
@@ -350,7 +372,9 @@ def eval_spin(
 
 
 def _tuples(dim: int, m: int):
-    """Every start column of S^(x)m, in lexicographic order."""
+    """Every start column of S^(x)m, in lexicographic order.  No route lists
+    them any more (_orbit_closure builds the dominant ones directly); the
+    benchmark's tracer still wraps this function."""
     return itertools.product(range(dim), repeat=m)
 
 
@@ -369,9 +393,7 @@ def sweep_raw_traces(m: int, n: int, max_len: int) -> dict[tuple, GradedScalar]:
     majorant to the power max_len.
     """
     gens = [(i, s) for i in range(1, m) for s in (1, -1)]
-    by_weight: dict[LaurentPoly, list] = {}
-    for column, w in _orbit_closure(n, m).items():
-        by_weight.setdefault(w, []).append(column)
+    by_weight = _orbit_classes(n, m)
     data = {s: _crossing_data(n, s)[0] for s in (1, -1)}
     column_norm = max(sum(c.norms[pair].values()) for c in data.values() for pair in c)
     bits = _slot_bits(sum(map(len, by_weight.values())) * column_norm ** max_len)

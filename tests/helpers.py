@@ -1,10 +1,12 @@
 """Code that only the tests run.
 
 normalize is the symbolic engine's rewriting (iqsym._reduce_top) as an
-AlgElement map, and markov_suite checks the Markov moves on the matrix route.
+AlgElement map, markov_suite checks the Markov moves on the matrix route, and
+all_word_traces is the criterion-10 sweep, computed once per rank.
 
 The exponent-dict trace kernel is the oracle of the packed kernel
-(spinpoly._step, _diagonal, _packed_trace) that both production routes run.
+(spinpoly._step, _diagonal, _packed_trace) that the type A route and the spin
+route on four or more strands run.
 A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
 is the {pair': LaurentPoly} image of the pair on those strands (None or empty
 if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
@@ -17,7 +19,7 @@ from spinlink import iqsym
 from spinlink.iqsym import AlgElement
 from spinlink.qalg import GradedScalar, LaurentPoly, report_entry
 from spinlink.rep import LinOp, sig_keys
-from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor
+from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
 from spinlink.xcalc import braiding
 
 
@@ -28,6 +30,17 @@ def from_json_terms(terms) -> GradedScalar:
         ex = Fraction(en, ed)
         total = total + GradedScalar(ex, LaurentPoly.const(Fraction(cn, cd)))
     return total
+
+
+_sweep_cache: dict = {}
+
+
+def all_word_traces(n: int) -> dict:
+    """Raw traces of every signed 3-strand braid word of length <= 6, by the
+    dominant-state sweep; computed once per rank and shared by the tests."""
+    if n not in _sweep_cache:
+        _sweep_cache[n] = sweep_raw_traces(3, n, 6)
+    return _sweep_cache[n]
 
 
 def r_on_strands(i: int, m: int, n: int, inverse: bool = False, fam=None) -> LinOp:

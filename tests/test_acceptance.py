@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from helpers import markov_suite, r_on_strands
+from helpers import all_word_traces, markov_suite, r_on_strands
 from spinlink.clifford import qgrp_via_clifford, wenzl_C
 from spinlink.iqsym import eval_spin_symbolic
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, appendixA_suite, devil, qbinom
@@ -26,7 +26,7 @@ from spinlink.schur import (
     sl2_from_spin1,
     spin1_from_jones,
 )
-from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
+from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor
 from spinlink.xcalc import (
     braiding,
     build_X,
@@ -35,16 +35,6 @@ from spinlink.xcalc import (
 )
 
 FULL = os.environ.get("SPINLINK_FULL_ACCEPTANCE") == "1"
-
-_sweep_cache: dict = {}
-
-
-def all_word_traces(n: int) -> dict:
-    """Raw traces of every signed 3-strand braid word of length <= 6."""
-    if n not in _sweep_cache:
-        _sweep_cache[n] = sweep_raw_traces(3, n, 6)
-    return _sweep_cache[n]
-
 
 def report(num: int, desc: str, ok: bool, extra: str = ""):
     status = "PASS" if ok else "FAIL"
