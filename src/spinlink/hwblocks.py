@@ -1,4 +1,5 @@
-"""The spin matrix trace on highest-weight multiplicity blocks.
+"""The spin matrix trace on highest-weight multiplicity blocks, for braids on
+at most three strands, built from eigenvalues and cap pins: no crossing data.
 
 A braid operator on S^(x)m commutes with U_q(so_{2n+1}), so it maps each
 highest-weight space HW_lam (the vectors of dominant weight lam killed by
@@ -7,115 +8,67 @@ every e_i) to itself, and
   Tr_q(beta) = sum over dominant lam of qdim(L_lam) * tr(beta | HW_lam)
 
 (Rosso-Jones 1993; the Racah-matrix method of Mironov-Morozov-Morozov 2012).
-These spaces are small: at n = 3, m = 3 their dimensions add up to 10 and
-none is larger than 4, against 40 dominant start states.
+qdim(L_lam) is Weyl's product formula, signed and evaluated as
+rep.closure_weight is.  Weights are doubled (rep.doubled_weight).
 
-A basis of HW_lam is the common kernel of e_1..e_n on the keys of weight
-lam, with e_i from the iterated coproduct in closed form (rep's convention
-D(e) = e (x) k + 1 (x) e), found by sparse elimination over Z[v^{+-1}]:
-unit pivots +-v^k first, a fraction-free step only when none is left.  Each
-basis vector h_f is D at its own free key f and 0 at the other free keys, so
-a crossing's block entry, the coefficient of h_f' in sigma h_f, is
-(sigma h_f)[f'] / D, an exact division.  qdim(L_lam) is Weyl's product
-formula, signed and evaluated as rep.closure_weight is.
+Two strands.  S (x) S is the multiplicity-free sum of the L_mu with
+mu = (2^k, 0^(n-k)), k = 0..n, and the braiding acts on L_mu by a ratio of
+twists (Reshetikhin-Turaev 1990): r_mu = (-1)^C(j+1,2) q^(c(mu) - 2 c(S)),
+c(lam) = (lam, lam + 2 rho), j = n - k the zero coordinates of mu.  The
+inverse crossing acts by r_mu^-1.  Every block is 1 x 1.
+
+Three strands.  The dominant weights are lam = (3^a, 1^N), N = n - a.  On a
+key of weight lam the first a coordinates lie in no factor and each other
+coordinate in exactly one, and e_1..e_a vanish there, so HW_lam is HW of
+weight (1^N) in S^(x)3 at rank N.  Write a key as g in {1,2,3}^N, coordinate
+i in factor g(i).  The coproduct D(e) = e (x) k + 1 (x) e gives:
+
+  - e_i, i < N, on the two keys that differ by swapping g(i) != g(i+1): one
+    more inversion multiplies the value by -v^4, so a highest-weight vector
+    is v(g) = (-v^4)^inv(g) V(g's content (n1, n2, n3));
+  - e_N, for each content m of N - 1 coordinates:
+    v^4 (-v^4)^(m2+m3) V(m+e1) + v^2 (-v^4)^m3 V(m+e2) + V(m+e3) = 0.
+
+So V is fixed by its values V(N-k, 0, k) on the keys with factor 2 empty, and
+every other value follows by a division by a unit.  These are the
+coordinates of HW_lam: h_k is the vector with V(N-k', 0, k') = [k = k'],
+and a Laurent vector has Laurent coordinates.  No elimination is run.
+
+sigma_1 acts by r_mu, mu = mu_(a+j), on the left-coupled vector of L_lam in
+L_mu (x) S, and sigma_2 by r_mu on the right-coupled one in S (x) L_mu.  The
+left-coupled vector for mu_(a+j) is 0 where factor 3 holds more than j
+coordinates (its weights lie above lam - mu), and where factor 3 holds the
+first l < j coordinates it is a vector of L_mu of weight mu_(a+l) in factors
+1, 2, which the cap of those factors at rank N - l (rep.cap_n) kills: the cap
+kills every vector below a highest weight and not the highest-weight vector
+of L_(mu_(a+l)).  These cap pins, read on the coordinates, are a matrix P
+with P_l(h_k) = 0 for k < l and P_l(h_l) != 0, and P T^t is diagonal for T
+the matrix of the left-coupled vectors.  So in the basis h_k the block is
+
+  sigma = T^-1 D T = (P^-1 D P)^t,   D = diag(r_mu),
+
+found from P X = D P by substitution, one exact division per entry (a
+division that is not exact raises ValueError): the block is Laurent because
+the braiding has Laurent entries on keys.  sigma_2 is the mirror image, with
+the factors 1 and 3 exchanged.  The pins depend on N alone.
 
 Per word, the blocks are multiplied on Kronecker-packed ints (qalg._pack):
 all blocks of one letter share its lowest exponent, the slot width comes
 from the same product on the blocks' l1-norm matrices, and the sum over lam
-is decoded once.  A letter's tables hang off its spinpoly.Crossing
-(Crossing.blocks), so none outlives the images it was read from.
+is decoded once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from operator import mul
 
 from . import qalg
-from .qalg import LaurentPoly, _pack, _slot_bits, _unpack, qint
-from .rep import _closure_form, dominant_keys, doubled_weight
+from .qalg import LaurentPoly, _pack, _slot_bits, _unpack, binom2, qint
+from .rep import _closure_form, qJ
 
-_ONE = LaurentPoly.one()
-
-
-def _raising(key: tuple, i: int, n: int) -> dict[tuple, int]:
-    """e_i on a key of S^(x)m, sum_j 1 (x) ... (x) e_i (x) k_i (x) ... (x) k_i
-    with e_i on factor j: {key': v-exponent}, every coefficient a power of v."""
-    out, e = {}, 0  # e: the exponent of k_i on the factors right of j
-    for j in range(len(key) - 1, -1, -1):
-        J = key[j]
-        a = J >> (i - 1) & 1
-        if i < n:
-            b = J >> i & 1
-            if a and not b:
-                out[key[:j] + (J ^ 3 << (i - 1),) + key[j + 1 :]] = e
-            e += 4 * (b - a)  # k_i = q^(2 (w_i - w_(i+1))), w_j = 1/2 - (bit j-1 of J)
-        else:
-            if a:
-                out[key[:j] + (J ^ 1 << (n - 1),) + key[j + 1 :]] = e
-            e += 2 - 4 * a  # k_n = q^(2 w_n)
-    return out
-
-
-def _unit_inverse(x: LaurentPoly) -> LaurentPoly | None:
-    """x^-1 if x is a unit +-v^k of Z[v^{+-1}], else None."""
-    if len(x.c) == 1:
-        ((e, c),) = x.c.items()
-        if c in (1, -1):
-            return LaurentPoly.v_pow(-e, c)
-    return None
-
-
-def _kernel(columns: list, rows: list[dict]) -> tuple[LaurentPoly, list[tuple]]:
-    """The common kernel of the linear forms rows ({column: LaurentPoly}) as
-    (D, [(f, h_f)]): one vector {column: LaurentPoly} per free column f, D at
-    f and 0 at the other free columns.  Every row is reduced against each
-    pivot in turn, so a pivot row holds its pivot and free columns only."""
-    done: dict = {}  # pivot column -> its row
-    rows = [row for row in rows if row]
-    while rows:
-        unit = next(((k, col) for k, row in enumerate(rows) for col, x in row.items()
-                     if _unit_inverse(x) is not None), None)
-        # fraction-free only when no unit is left: pivot on the shortest entry
-        k, col = unit or min(((k, col) for k, row in enumerate(rows) for col in row),
-                             key=lambda kc: len(rows[kc[0]][kc[1]].c))
-        row = rows.pop(k)
-        d = row[col]
-        if unit:
-            inv = _unit_inverse(d)
-            row = {c: x * inv for c, x in row.items()}
-        for other in (*rows, *done.values()):
-            a = other.pop(col, None)
-            if a is not None:
-                if not unit:
-                    for c, x in other.items():
-                        other[c] = x * d
-                for c, x in row.items():
-                    if c != col:
-                        s = other.get(c, LaurentPoly.zero()) - a * x
-                        if s:
-                            other[c] = s
-                        else:
-                            other.pop(c, None)
-        rows = [other for other in rows if other]
-        done[col] = row
-    den = _ONE
-    for col, row in done.items():
-        d = row[col]
-        if _unit_inverse(d) is None:
-            den = den * qalg.poly_divexact(d, qalg.poly_gcd(den, d))
-    den = den.shift(-den.v_valuation())  # a unit less, still a multiple of every pivot
-    basis = []
-    for f in columns:
-        if f not in done:
-            h = {f: den}
-            for col, row in done.items():
-                x = row.get(f)
-                if x is not None:
-                    d = row[col]
-                    h[col] = -(x * den if d.is_one() else qalg.poly_divexact(x * den, d))
-            basis.append((f, h))
-    return den, basis
+_ONE, _ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 
 def _qdim(lam: tuple[int, ...], m: int, n: int) -> LaurentPoly:
@@ -125,12 +78,106 @@ def _qdim(lam: tuple[int, ...], m: int, n: int) -> LaurentPoly:
     doubled coordinates, where 2 rho is the closure form's steps."""
     steps, sign = _closure_form(m, n)
     shifted = [x + s for x, s in zip(lam, steps)]
-    num = den = _ONE
+    factors = Counter()  # [a]'s exponent in the product: the equal factors of both sides cancel first
     for j, (a, s) in enumerate(zip(shifted, steps)):
-        num, den = num * qint(a), den * qint(s)
-        for b, t in zip(shifted[j + 1 :], steps[j + 1 :]):
-            num, den = num * qint(a - b) * qint(a + b), den * qint(s - t) * qint(s + t)
+        factors.update((a, *(a - b for b in shifted[j + 1 :]), *(a + b for b in shifted[j + 1 :])))
+        factors.subtract((s, *(s - t for t in steps[j + 1 :]), *(s + t for t in steps[j + 1 :])))
+    num = den = _ONE
+    for a, e in factors.items():
+        if e > 0:
+            num = num * qint(a) ** e
+        elif e < 0:
+            den = den * qint(a) ** -e
     return qalg.poly_divexact(num, den).scale(sign)
+
+
+def _eigenvalue(k: int, n: int) -> LaurentPoly:
+    """r_mu for mu = (2^k, 0^(n-k)): (-1)^C(j+1,2) q^(c(mu) - 2 c(S)), with
+    4 c(lam) = sum x (x + 2 s) over the doubled coordinates x of lam and the
+    steps s = 2 rho, and v^2 = q."""
+    steps, _ = _closure_form(1, n)
+
+    def four_c(lam):
+        return sum(x * (x + 2 * s) for x, s in zip(lam, steps))
+
+    mu = (2,) * k + (0,) * (n - k)
+    return LaurentPoly.v_pow((four_c(mu) - 2 * four_c((1,) * n)) // 2, (-1) ** binom2(n - k + 1))
+
+
+def _swap(x: int) -> LaurentPoly:
+    """(-v^4)^x: x more inversions."""
+    return LaurentPoly.v_pow(4 * x, -1 if x % 2 else 1)
+
+
+def _values(N: int, k: int) -> dict[tuple[int, int], LaurentPoly]:
+    """The orbit values of h_k at rank N: {(n2, n3): V(N - n2 - n3, n2, n3)},
+    the row n2 = 0 given and each later row from the relation of e_N at
+    m = (., b - 1, c), solved for V(m + e2), a unit times it."""
+    V = {(0, c): _ONE if c == k else _ZERO for c in range(N + 1)}
+    for b in range(1, N + 1):
+        for c in range(N + 1 - b):
+            V[b, c] = -(_swap(b - 1).shift(2) * V[b - 1, c] + _swap(-c).shift(-2) * V[b - 1, c + 1])
+    return V
+
+
+def _cap_weights(N: int) -> list[LaurentPoly]:
+    """The cap of S (x) S at rank N (rep.cap_n) on the orbit values: entry b
+    sums q^-I (-v^4)^inv over the keys (I, I^c) with |I^c| = b, where inv
+    counts the coordinates of I^c before one of I.  Built one coordinate at
+    a time: layer[t] is the sum over the choices with t coordinates in I."""
+    layer = [_ONE]
+    for i in range(1, N + 1):
+        weight = qJ(1 << (i - 1), N) ** -1
+        new = layer + [_ZERO]
+        for t, p in enumerate(layer):
+            new[t + 1] = new[t + 1] + p * weight * _swap(i - 1 - t)
+        layer = new
+    return layer[::-1]
+
+
+@lru_cache(maxsize=16)
+def _pins(N: int) -> tuple[list, list]:
+    """The cap pins of HW at rank N on the coordinates, (left, right):
+    left[l][k] is the cap of factors 1, 2 on the part of h_k where factor 3
+    holds the first l coordinates, right[l][k] the cap of factors 2, 3 where
+    factor 1 holds them.  left[l][k] = 0 for k < l, right[l][k] = 0 for
+    k > N - l."""
+    values = [_values(N, k) for k in range(N + 1)]
+    caps = [_cap_weights(N - l) for l in range(N + 1)]
+    left = [[sum((c * V[b, l] for b, c in enumerate(caps[l])), _ZERO) for V in values] for l in range(N + 1)]
+    right = [[sum((c * V[N - l - t, t] for t, c in enumerate(caps[l])), _ZERO) for V in values]
+             for l in range(N + 1)]
+    return left, right
+
+
+def _divide(row: list, d: LaurentPoly) -> list:
+    """Each entry of row divided by d in Z[v^{+-1}], d = content * v^val *
+    primitive: one long division by the primitive part per entry.  A division
+    that is not exact raises ValueError."""
+    content, primitive = qalg._content_and_primitive(d)
+    primitive, shift = LaurentPoly(primitive), -d.v_valuation()
+    out = []
+    for x in row:
+        q = qalg.poly_quotient(x, primitive)
+        if q is None or any(c % content for c in q.c.values()):
+            raise ValueError(f"{d} does not divide {x} in Z[v^(+-1)]")
+        out.append(LaurentPoly({e + shift: c // content for e, c in q.c.items()}))
+    return out
+
+
+def _block(pins: list, r: list, pivots: list) -> list:
+    """(P^-1 D P)^t for the pins P and D = diag(r), from P X = D P: row l of P
+    is nonzero only at pivots[l] and at the pivots of the rows after it, so
+    the rows are solved from the last, each entry by one exact division.
+    Row r of the block holds the coefficients of sigma h_r."""
+    X: list = [None] * len(pins)
+    for l in reversed(range(len(pins))):
+        p, row = pivots[l], [r[l] * x for x in pins[l]]
+        for k, c in enumerate(pins[l]):
+            if c and k != p:
+                row = [a - c * b for a, b in zip(row, X[k])]
+        X[p] = _divide(row, pins[l][p])
+    return [list(col) for col in zip(*X)]
 
 
 class _Packable:
@@ -154,62 +201,44 @@ class _Packable:
         return self._packed[bits]
 
 
-class _Spaces:
-    """The highest-weight spaces of S^(x)m, one per dominant weight lam with
-    HW_lam nonzero: bases, the (D, [(f, h_f)]) of each, and qdims, the 1 x 1
-    matrices [[qdim(L_lam)]]."""
+class _Blocks:
+    """The highest-weight spaces of S^(x)m, m <= 3, at rank n: weights, the
+    dominant lam with HW_lam nonzero, dims, their dimensions, and qdims, the
+    1 x 1 matrices [[qdim(L_lam)]]; letter(i, sign) is the crossing's blocks
+    on strands i, i+1, built on first use."""
 
-    __slots__ = ("bases", "qdims")
+    __slots__ = ("n", "m", "weights", "dims", "qdims", "_letters")
 
     def __init__(self, n: int, m: int):
-        keys: dict[tuple, list] = {}
-        for key in dominant_keys(m, n):
-            keys.setdefault(doubled_weight(key, n), []).append(key)
-        self.bases, qdims = [], []
-        for lam, columns in keys.items():
-            rows: dict[tuple, dict] = {}  # one row per key of weight lam + alpha_i
-            for key in columns:
-                for i in range(1, n + 1):
-                    for target, e in _raising(key, i, n).items():
-                        rows.setdefault(target, {})[key] = LaurentPoly.v_pow(e)
-            den, basis = _kernel(columns, list(rows.values()))
-            if basis:
-                self.bases.append((den, basis))
-                qdims.append([[_qdim(lam, m, n)]])
-        self.qdims = _Packable(qdims)
+        if not 1 <= m <= 3:
+            raise ValueError(f"highest-weight blocks are built for 1 to 3 strands, not {m}")
+        self.n, self.m, self._letters = n, m, {}
+        if m == 1:
+            self.weights, self.dims = [(1,) * n], [1]
+        elif m == 2:
+            self.weights, self.dims = [(2,) * k + (0,) * (n - k) for k in range(n + 1)], [1] * (n + 1)
+        else:
+            self.weights = [(3,) * a + (1,) * (n - a) for a in range(n + 1)]
+            self.dims = [n - a + 1 for a in range(n + 1)]
+        self.qdims = _Packable([[[_qdim(lam, m, n)]] for lam in self.weights])
+
+    def letter(self, i: int, sign: int) -> _Packable:
+        if (i, sign) not in self._letters:
+            n = self.n
+            if self.m == 2:
+                mats = [[[_eigenvalue(k, n) ** sign]] for k in range(n + 1)]
+            else:
+                mats = []
+                for a in range(n + 1):
+                    N = n - a
+                    r = [_eigenvalue(a + l, n) ** sign for l in range(N + 1)]
+                    pivots = range(N + 1) if i == 1 else range(N, -1, -1)
+                    mats.append(_block(_pins(N)[i - 1], r, list(pivots)))
+            self._letters[i, sign] = _Packable(mats)
+        return self._letters[i, sign]
 
 
-_spaces = lru_cache(maxsize=8)(_Spaces)
-
-
-def _blocks(crossing, i: int, bases: list) -> list:
-    """Per space, the matrix of the crossing on strands i, i+1: row r holds the
-    coefficients of sigma h_f on the basis, (sigma h_f)[f'] / D, for the r-th
-    h_f.  With D = 1 they are Laurent by construction; else a division that is
-    not exact raises ValueError."""
-    mats = []
-    for den, basis in bases:
-        position = {f: r for r, (f, _) in enumerate(basis)}
-        mat = []
-        for _, h in basis:
-            row = [LaurentPoly.zero()] * len(basis)
-            for key, x in h.items():
-                head, tail = key[: i - 1], key[i + 1 :]
-                for pair, c in crossing[key[i - 1 : i + 1]].items():
-                    r = position.get(head + pair + tail)
-                    if r is not None:
-                        row[r] = row[r] + c * x
-            mat.append(row if den.is_one() else [qalg.poly_divexact(x, den) for x in row])
-        mats.append(mat)
-    return mats
-
-
-def _letter(crossing, i: int, n: int, m: int) -> _Packable:
-    """The crossing's blocks on strands i, i+1 of S^(x)m, built on first use."""
-    key = (m, i)
-    if key not in crossing.blocks:
-        crossing.blocks[key] = _Packable(_blocks(crossing, i, _spaces(n, m).bases))
-    return crossing.blocks[key]
+_blocks = lru_cache(maxsize=8)(_Blocks)
 
 
 def _traces(letters: list) -> list:
@@ -224,17 +253,16 @@ def _traces(letters: list) -> list:
     return out
 
 
-def block_trace(crossings: list, n: int, m: int) -> LaurentPoly:
-    """Tr_q on S^(x)m of the product of the crossings (i, Crossing), the first
-    acting first: sum over lam of qdim(L_lam) times the trace of the product of
-    the blocks, on packed ints decoded once."""
-    spaces = _spaces(n, m)
-    if not crossings:
-        return sum((q.scale(len(basis)) for ((q,),), (_, basis) in zip(spaces.qdims.values, spaces.bases)),
-                   LaurentPoly.zero())
-    letters = [_letter(crossing, i, n, m) for i, crossing in crossings]
-    qdims = spaces.qdims
-    bound = sum(q * t for ((q,),), t in zip(qdims.norms, _traces([letter.norms for letter in letters])))
+def block_trace(letters: list, n: int, m: int) -> LaurentPoly:
+    """Tr_q on S^(x)m, m <= 3, of the product of the crossings (i, sign), the
+    first acting first: sum over lam of qdim(L_lam) times the trace of the
+    product of the blocks, on packed ints decoded once."""
+    blocks = _blocks(n, m)
+    qdims = blocks.qdims
+    if not letters:
+        return sum((q.scale(dim) for ((q,),), dim in zip(qdims.values, blocks.dims)), _ZERO)
+    tables = [blocks.letter(i, sign) for i, sign in letters]
+    bound = sum(q * t for ((q,),), t in zip(qdims.norms, _traces([table.norms for table in tables])))
     bits = _slot_bits(bound)
-    total = sum(q * t for ((q,),), t in zip(qdims.packed(bits), _traces([letter.packed(bits) for letter in letters])))
-    return _unpack(total, bits, qdims.low + sum(letter.low for letter in letters), 2)
+    total = sum(q * t for ((q,),), t in zip(qdims.packed(bits), _traces([table.packed(bits) for table in tables])))
+    return _unpack(total, bits, qdims.low + sum(table.low for table in tables), 2)

@@ -571,12 +571,17 @@ class GradedScalar:
 
     def json_terms(self) -> list[list[int]]:
         """Terms as [exp_num, exp_den, coeff_num, coeff_den] with the offset
-        folded into each exponent."""
+        folded into each exponent.  With offset 0 (every spin value) an
+        exponent is e/2 in lowest terms and an int coefficient is c/1, so no
+        Fraction is built for them."""
         out = []
+        offset = self.offset
         for e, c in sorted(self.body.c.items()):
-            ex = Fraction(e, 2) + self.offset
-            cf = Fraction(c)
-            out.append([ex.numerator, ex.denominator, cf.numerator, cf.denominator])
+            if not offset and type(c) is int:
+                out.append([e // 2, 1, c, 1] if e % 2 == 0 else [e, 2, c, 1])
+            else:
+                ex, cf = Fraction(e, 2) + offset, Fraction(c)
+                out.append([ex.numerator, ex.denominator, cf.numerator, cf.denominator])
         return out
 
     def __str__(self) -> str:

@@ -36,11 +36,12 @@ bound ensures.  Crossing and the kernel (_step, _diagonal, _word_bits,
 _packed_trace) are shared with schur's sl_N weight-space route.
 
 On at most three strands the trace is taken on the highest-weight
-multiplicity spaces instead (hwblocks), which are far smaller: of total
-dimension 10 against 40 dominant start states at n = 3.  On four or more
-strands finding them costs more than the kernel spends on a word (0.7 s at
-n = 3, m = 4, against 14-16 ms per word), so those words keep the kernel,
-as do sweep_raw_traces and the tests' oracles.
+multiplicity spaces instead (hwblocks), which are far smaller (of total
+dimension 10 against 40 dominant start states at n = 3), and whose blocks
+come from the braiding's eigenvalues and the spaces' coordinates alone: no
+crossing data is built, and xcalc and clifford are not loaded.  Four or
+more strands keep the kernel on crossing data, as do sweep_raw_traces and
+the tests' oracles.
 
 Three normalizations are exposed:
 
@@ -154,7 +155,7 @@ def parse_braid(text: str, strands: int | None = None) -> BraidWord:
 @lru_cache(maxsize=4)
 def _x_family(n: int):
     """The X family of rank n, shared by both crossing signs."""
-    from . import xcalc  # on the first crossing: eval_slN and the symbolic engine never load it
+    from . import xcalc  # on the first crossing data: eval_slN, the symbolic engine and m <= 3 never load it
 
     return xcalc.build_X(n, check_product_route=False)
 
@@ -217,15 +218,14 @@ class Crossing(dict):
     them in __missing__), with low, the lowest exponent among the images
     stored, norms, the table of their l1 norms, and packed(bits), the table of
     them packed at v^2 = 2^bits from v^low.  Every exponent of an image has
-    the parity of low.  blocks holds the tables hwblocks derives from the
-    images, by (strand count, strand).  The tables hang off the images, so
-    none outlives them."""
+    the parity of low.  The tables hang off the images, so none outlives
+    them."""
 
-    __slots__ = ("low", "norms", "_packed", "blocks")
+    __slots__ = ("low", "norms", "_packed")
 
     def __init__(self, images: dict | None = None):
         super().__init__()
-        self.low, self._packed, self.blocks = inf, {}, {}
+        self.low, self._packed = inf, {}
         self.norms = _Table(self, lambda c: sum(map(abs, c.c.values())))
         for pair, image in (images or {}).items():
             self[pair] = image
@@ -290,16 +290,17 @@ _BLOCK_STRANDS = 3
 
 def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
     """Tr_q of the braid operator: on the highest-weight blocks for at most
-    three strands, else by the dominant-state kernel, the diagonal entries of
-    the dominant-weight start columns summed per orbit closure weight on
-    packed coefficients, each sum weighted once."""
+    three strands, with no crossing data, else by the dominant-state kernel,
+    the diagonal entries of the dominant-weight start columns summed per
+    orbit closure weight on packed coefficients, each sum weighted once."""
     m = braid.strands
     # operator product in word order: the rightmost letter acts first
-    crossings = [(i, _crossing_data(n, sign)[0]) for i, sign in reversed(braid.letters)]
+    letters = braid.letters[::-1]
     if m <= _BLOCK_STRANDS:
         from . import hwblocks  # on the first such word: eval_slN and the symbolic engine never load it
 
-        return GradedScalar(0, hwblocks.block_trace(crossings, n, m))
+        return GradedScalar(0, hwblocks.block_trace(letters, n, m))
+    crossings = [(i, _crossing_data(n, sign)[0]) for i, sign in letters]
     return GradedScalar(0, _packed_trace(crossings, _orbit_classes(n, m)))
 
 

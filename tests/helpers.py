@@ -7,6 +7,11 @@ all_word_traces is the criterion-10 sweep, computed once per rank.
 The exponent-dict trace kernel is the oracle of the packed kernel
 (spinpoly._step, _diagonal, _packed_trace) that the type A route and the spin
 route on four or more strands run.
+
+The block reader (hw_spaces, crossing_blocks, block_trace_from_crossings) is
+the oracle of hwblocks: it finds each highest-weight space by elimination and
+reads a crossing's blocks off its crossing data, where hwblocks builds them
+from eigenvalues and cap pins.  The two share only hwblocks._qdim.
 A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
 is the {pair': LaurentPoly} image of the pair on those strands (None or empty
 if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
@@ -14,11 +19,13 @@ are accumulated in place, and a LaurentPoly is built only for the diagonal.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from spinlink import iqsym
+from spinlink import iqsym, qalg
+from spinlink.hwblocks import _qdim
 from spinlink.iqsym import AlgElement
 from spinlink.qalg import GradedScalar, LaurentPoly, report_entry
-from spinlink.rep import LinOp, sig_keys
+from spinlink.rep import LinOp, dominant_keys, doubled_weight, sig_keys
 from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
 from spinlink.xcalc import braiding
 
@@ -175,3 +182,153 @@ def markov_suite(braid: BraidWord, n: int) -> list[dict]:
             break
     entry("unframed-invariance", ok, witness)
     return report
+
+
+# -- highest-weight blocks read off crossing data: the oracle of hwblocks ----
+
+
+def raising(key: tuple, i: int, n: int) -> dict[tuple, int]:
+    """e_i on a key of S^(x)m, sum_j 1 (x) ... (x) e_i (x) k_i (x) ... (x) k_i
+    with e_i on factor j: {key': v-exponent}, every coefficient a power of v."""
+    out, e = {}, 0  # e: the exponent of k_i on the factors right of j
+    for j in range(len(key) - 1, -1, -1):
+        J = key[j]
+        a = J >> (i - 1) & 1
+        if i < n:
+            b = J >> i & 1
+            if a and not b:
+                out[key[:j] + (J ^ 3 << (i - 1),) + key[j + 1 :]] = e
+            e += 4 * (b - a)  # k_i = q^(2 (w_i - w_(i+1))), w_j = 1/2 - (bit j-1 of J)
+        else:
+            if a:
+                out[key[:j] + (J ^ 1 << (n - 1),) + key[j + 1 :]] = e
+            e += 2 - 4 * a  # k_n = q^(2 w_n)
+    return out
+
+
+def _unit_inverse(x: LaurentPoly) -> LaurentPoly | None:
+    """x^-1 if x is a unit +-v^k of Z[v^{+-1}], else None."""
+    if len(x.c) == 1:
+        ((e, c),) = x.c.items()
+        if c in (1, -1):
+            return LaurentPoly.v_pow(-e, c)
+    return None
+
+
+def hw_kernel(columns: list, rows: list[dict]) -> tuple[LaurentPoly, list[tuple]]:
+    """The common kernel of the linear forms rows ({column: LaurentPoly}) as
+    (D, [(f, h_f)]): one vector {column: LaurentPoly} per free column f, D at
+    f and 0 at the other free columns.  Sparse elimination over Z[v^{+-1}]:
+    unit pivots +-v^k first, a fraction-free step only when none is left.
+    Every row is reduced against each pivot in turn, so a pivot row holds its
+    pivot and free columns only."""
+    done: dict = {}  # pivot column -> its row
+    rows = [row for row in rows if row]
+    while rows:
+        unit = next(((k, col) for k, row in enumerate(rows) for col, x in row.items()
+                     if _unit_inverse(x) is not None), None)
+        # fraction-free only when no unit is left: pivot on the shortest entry
+        k, col = unit or min(((k, col) for k, row in enumerate(rows) for col in row),
+                             key=lambda kc: len(rows[kc[0]][kc[1]].c))
+        row = rows.pop(k)
+        d = row[col]
+        if unit:
+            inv = _unit_inverse(d)
+            row = {c: x * inv for c, x in row.items()}
+        for other in (*rows, *done.values()):
+            a = other.pop(col, None)
+            if a is not None:
+                if not unit:
+                    for c, x in other.items():
+                        other[c] = x * d
+                for c, x in row.items():
+                    if c != col:
+                        s = other.get(c, LaurentPoly.zero()) - a * x
+                        if s:
+                            other[c] = s
+                        else:
+                            other.pop(c, None)
+        rows = [other for other in rows if other]
+        done[col] = row
+    den = LaurentPoly.one()
+    for col, row in done.items():
+        d = row[col]
+        if _unit_inverse(d) is None:
+            den = den * qalg.poly_divexact(d, qalg.poly_gcd(den, d))
+    den = den.shift(-den.v_valuation())  # a unit less, still a multiple of every pivot
+    basis = []
+    for f in columns:
+        if f not in done:
+            h = {f: den}
+            for col, row in done.items():
+                x = row.get(f)
+                if x is not None:
+                    d = row[col]
+                    h[col] = -(x * den if d.is_one() else qalg.poly_divexact(x * den, d))
+            basis.append((f, h))
+    return den, basis
+
+
+class HWSpaces:
+    """The highest-weight spaces of S^(x)m, one per dominant weight lam with
+    HW_lam nonzero, by elimination on the keys of weight lam: weights, bases
+    (the (D, [(f, h_f)]) of each) and qdims."""
+
+    def __init__(self, n: int, m: int):
+        keys: dict[tuple, list] = {}
+        for key in dominant_keys(m, n):
+            keys.setdefault(doubled_weight(key, n), []).append(key)
+        self.weights, self.bases, self.qdims = [], [], []
+        for lam, columns in keys.items():
+            rows: dict[tuple, dict] = {}  # one row per key of weight lam + alpha_i
+            for key in columns:
+                for i in range(1, n + 1):
+                    for target, e in raising(key, i, n).items():
+                        rows.setdefault(target, {})[key] = LaurentPoly.v_pow(e)
+            den, basis = hw_kernel(columns, list(rows.values()))
+            if basis:
+                self.weights.append(lam)
+                self.bases.append((den, basis))
+                self.qdims.append(_qdim(lam, m, n))
+
+
+hw_spaces = lru_cache(maxsize=8)(HWSpaces)
+
+
+def crossing_blocks(crossing, i: int, bases: list) -> list:
+    """Per space, the matrix of the crossing (a {pair: {pair': LaurentPoly}}
+    map) on strands i, i+1: row r holds the coefficients of sigma h_f on the
+    basis, (sigma h_f)[f'] / D, for the r-th h_f.  A division that is not
+    exact raises ValueError."""
+    mats = []
+    for den, basis in bases:
+        position = {f: r for r, (f, _) in enumerate(basis)}
+        mat = []
+        for _, h in basis:
+            row = [LaurentPoly.zero()] * len(basis)
+            for key, x in h.items():
+                head, tail = key[: i - 1], key[i + 1 :]
+                for pair, c in crossing[key[i - 1 : i + 1]].items():
+                    r = position.get(head + pair + tail)
+                    if r is not None:
+                        row[r] = row[r] + c * x
+            mat.append(row if den.is_one() else [qalg.poly_divexact(x, den) for x in row])
+        mats.append(mat)
+    return mats
+
+
+def block_trace_from_crossings(crossings: list, n: int, m: int) -> LaurentPoly:
+    """Tr_q on S^(x)m of the product of the crossings (i, crossing), the first
+    acting first: sum over lam of qdim(L_lam) times the trace of the product
+    of the blocks read off the crossings."""
+    spaces = hw_spaces(n, m)
+    letters = [crossing_blocks(crossing, i, spaces.bases) for i, crossing in crossings]
+    total = LaurentPoly.zero()
+    for s, (q, (_, basis)) in enumerate(zip(spaces.qdims, spaces.bases)):
+        prod = [[LaurentPoly.one() if r == c else LaurentPoly.zero() for c in range(len(basis))]
+                for r in range(len(basis))]
+        for mats in letters:
+            cols = list(zip(*mats[s]))
+            prod = [[sum((x * y for x, y in zip(row, col)), LaurentPoly.zero()) for col in cols] for row in prod]
+        total = total + q * sum((row[r] for r, row in enumerate(prod)), LaurentPoly.zero())
+    return total

@@ -413,13 +413,15 @@ class TestImportFootprint:
         (
             (("poly", "sln", "--N", "3", "--colors", "1,1,1", "--braid", "1 -2 1"), {"spinlink.schur"},
              {"spinlink.xcalc", "spinlink.clifford", "spinlink.iqsym", "spinlink.hwblocks", "dataclasses"}),
-            (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.xcalc", "spinlink.hwblocks"},
-             {"spinlink.schur", "spinlink.iqsym", "dataclasses"}),
+            (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.hwblocks"},
+             {"spinlink.xcalc", "spinlink.clifford", "spinlink.schur", "spinlink.iqsym", "dataclasses"}),
+            (("poly", "spin", "--n", "2", "--braid", "1 2 3"), {"spinlink.xcalc", "spinlink.clifford"},
+             {"spinlink.hwblocks", "spinlink.schur", "spinlink.iqsym", "dataclasses"}),
             (("poly", "spin", "--n", "2", "--braid", "1 2", "--engine", "symbolic"), {"spinlink.iqsym"},
              {"spinlink.hwblocks"}),
             (("verify", "xcalc", "--n", "1"), {"spinlink.xcalc"}, {"spinlink.schur"}),
         ),
-        ids=("poly-sln", "poly-spin", "poly-spin-symbolic", "verify-xcalc"),
+        ids=("poly-sln", "poly-spin", "poly-spin-four-strands", "poly-spin-symbolic", "verify-xcalc"),
     )
     def test_a_command_loads_only_its_route(self, argv, loaded, absent):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -1,5 +1,6 @@
 """Tests for exact scalar arithmetic and the quantum-integer identity suite."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,20 @@ class TestGradedScalar:
     def test_json_round_trip(self):
         a = GradedScalar(Fraction(1, 3), q(2) + q(-1, Fraction(3, 4)))
         assert from_json_terms(a.json_terms()) == a
+
+    @pytest.mark.parametrize("value", (
+        GradedScalar(0, q(3) - q(-1, 2) + LaurentPoly.v_pow(-5, 7) + LaurentPoly.v_pow(1, -4)),  # a spin value
+        GradedScalar(Fraction(1, 3), q(2) - q(-3, 5) + LaurentPoly.v_pow(-1)),  # an sl_N value, offset 1/3
+        GradedScalar(0, q(2) + q(-1, Fraction(3, 4)) + LaurentPoly.v_pow(-3, Fraction(-1, 2))),
+        GradedScalar(Fraction(1, 4), LaurentPoly.v_pow(3, Fraction(5, 3))),
+    ))
+    def test_json_terms_are_the_fraction_form(self, value):
+        # every term is [e/2 + offset, coefficient] written as two fractions in lowest terms
+        want = []
+        for e, c in sorted(value.body.c.items()):
+            ex, cf = Fraction(e, 2) + value.offset, Fraction(c)
+            want.append([ex.numerator, ex.denominator, cf.numerator, cf.denominator])
+        assert json.dumps(value.json_terms()) == json.dumps(want)
 
     def test_body_is_a_laurent_polynomial(self):
         with pytest.raises(TypeError):

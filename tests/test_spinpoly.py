@@ -424,26 +424,27 @@ class TestProductionRoute:
                             lambda n, fam, sign: braiding(n, fam, sign).scale(RatFunc(LaurentPoly.one(), qint(2))))
         with pytest.raises(ValueError, match="denominator"):
             _crossing_data(1, 1)
-        assert cli.main(["poly", "spin", "--n", "1", "--braid", "1"]) == 2
+        assert cli.main(["poly", "spin", "--n", "1", "--braid", "1 2 3"]) == 2  # four strands read crossing data
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error: the braiding at n=1 has denominator")
         assert "Traceback" not in out.err
 
     def test_no_packed_table_outlives_its_crossing_data(self, fresh_crossing_data, monkeypatch):
-        braid = BraidWord(3, ((1, 1), (2, -1), (1, 1)))
-        want = _raw_trace(braid, 2)
+        # four strands run the kernel on crossing data; three strands need none, but the sweep reads it
+        braid, braid4 = BraidWord(3, ((1, 1), (2, -1), (1, 1))), BraidWord(4, ((1, 1), (2, -1), (3, 1)))
+        want, want4 = _raw_trace(braid, 2), _raw_trace(braid4, 2)
         _crossing_data.cache_clear()
         braiding = spinpoly.braiding
         monkeypatch.setattr(spinpoly, "braiding",
                             lambda n, fam, sign: braiding(n, fam, sign).scale(RatFunc(LaurentPoly.const(-1))))
-        assert _raw_trace(braid, 2) == -want
+        assert _raw_trace(braid4, 2) == -want4
         assert spinpoly.sweep_raw_traces(3, 2, 3)[braid.letters] == -want
 
     def test_a_fractional_coefficient_is_an_error(self, fresh_crossing_data, monkeypatch):
         braiding, half = spinpoly.braiding, RatFunc(LaurentPoly.const(Fraction(1, 2)))
         monkeypatch.setattr(spinpoly, "braiding", lambda n, fam, sign: braiding(n, fam, sign).scale(half))
         with pytest.raises(ValueError, match="not an integer"):
-            _raw_trace(BraidWord(2, ((1, 1),)), 1)
+            _raw_trace(BraidWord(4, ((1, 1),)), 1)
 
     def test_caches_are_bounded(self):
         caches = {name for name, fn in vars(spinpoly).items() if hasattr(fn, "cache_info")}

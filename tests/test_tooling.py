@@ -33,6 +33,7 @@ from spinlink import cli, schur, spinpoly
 braid = spinpoly.parse_braid("1 2")
 for engine in ("matrix", "symbolic"):
     spinpoly.eval_spin(braid, 2, engine=engine)
+spinpoly.eval_spin(spinpoly.parse_braid("1 2 3"), 2)  # four strands: the matrix route on crossing data
 schur.eval_slN(braid, (1, 1, 1), 2)
 schur.eval_slN_annular(braid, (1, 1, 1), 2)
 assert cli.main(["verify", "xcalc", "--n", "1"]) == 0
