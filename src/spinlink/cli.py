@@ -128,14 +128,21 @@ def _suite_schur(args) -> list[dict]:
     d2 = su == schur.spin1_from_jones(tre)
     d3 = schur.eval_slN(tre, (1, 1), 2) == schur.sl2_from_spin1(tre, su)
     report.append(report_entry("normalization-dictionary-trefoil", {}, d2 and d3))
-    # production (weight spaces) against the oracle (annular evaluation)
+    # production (blocks on three strands, weight spaces on more) against the oracle
+    # (annular evaluation), and on three strands the weight-space route too
     cases = [(parse_braid(text, m), (c,) * m, N) for text, m, N, c in schur.WITNESSES]
     letters = [(i, s) for i in (1, 2) for s in (1, -1)]
     for length in range(4):
         for word in itertools.product(letters, repeat=length):
             for N in (2, 3, 4):
                 cases += [(BraidWord(3, word), (c, c, c), N) for c in (1, 2)]
-    same = all(schur.eval_slN(*case) == schur.eval_slN_annular(*case) for case in cases)
+
+    def agrees(braid, colors, N):
+        want = schur.eval_slN_annular(braid, colors, N)
+        routes = [schur.eval_slN] + ([schur.eval_slN_weight_space] if braid.strands == 3 else [])
+        return all(route(braid, colors, N) == want for route in routes)
+
+    same = all(agrees(*case) for case in cases)
     report.append(report_entry("weight-space-equals-annular", {}, same))
     # a knot's value at q = 1 is +- the dimension C(N, c) of its color
     dims = all(

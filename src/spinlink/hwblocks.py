@@ -52,21 +52,21 @@ division that is not exact raises ValueError): the block is Laurent because
 the braiding has Laurent entries on keys.  sigma_2 is the mirror image, with
 the factors 1 and 3 exchanged.  The pins depend on N alone.
 
-Per word, the blocks are multiplied on Kronecker-packed ints (qalg._pack):
-all blocks of one letter share its lowest exponent, the slot width comes
-from the same product on the blocks' l1-norm matrices, and the sum over lam
-is decoded once.
+Per word, the blocks are traced by spinpoly's block kernel, shared with the
+type A blocks of slnblocks: on Kronecker-packed ints (qalg._pack), all
+blocks of one letter sharing its lowest exponent, with a slot width from the
+blocks' cached norms and the sum over lam decoded once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from operator import mul
 
 from . import qalg
-from .qalg import LaurentPoly, _pack, _slot_bits, _unpack, binom2, qint
+from .qalg import LaurentPoly, binom2, qint_ratio
 from .rep import _closure_form, qJ
+from .spinpoly import _block_trace, _Packable
 
 _ONE, _ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
@@ -82,13 +82,7 @@ def _qdim(lam: tuple[int, ...], m: int, n: int) -> LaurentPoly:
     for j, (a, s) in enumerate(zip(shifted, steps)):
         factors.update((a, *(a - b for b in shifted[j + 1 :]), *(a + b for b in shifted[j + 1 :])))
         factors.subtract((s, *(s - t for t in steps[j + 1 :]), *(s + t for t in steps[j + 1 :])))
-    num = den = _ONE
-    for a, e in factors.items():
-        if e > 0:
-            num = num * qint(a) ** e
-        elif e < 0:
-            den = den * qint(a) ** -e
-    return qalg.poly_divexact(num, den).scale(sign)
+    return qint_ratio(factors).scale(sign)
 
 
 def _eigenvalue(k: int, n: int) -> LaurentPoly:
@@ -180,27 +174,6 @@ def _block(pins: list, r: list, pivots: list) -> list:
     return [list(col) for col in zip(*X)]
 
 
-class _Packable:
-    """Laurent values, a list of matrices (one per highest-weight space), with
-    low, their lowest exponent, norms, the matrices of their l1 norms, and
-    packed(bits), the matrices packed at v^2 = 2^bits from v^low, one per width."""
-
-    __slots__ = ("values", "low", "norms", "_packed")
-
-    def __init__(self, values: list):
-        self.values, self._packed = values, {}
-        self.low = min(e for mat in values for row in mat for c in row for e in c.c)
-        self.norms = self._map(lambda c: sum(map(abs, c.c.values())))
-
-    def _map(self, entry) -> list:
-        return [[[entry(c) for c in row] for row in mat] for mat in self.values]
-
-    def packed(self, bits: int) -> list:
-        if bits not in self._packed:
-            self._packed[bits] = self._map(lambda c: _pack(c, self.low, 2, bits))
-        return self._packed[bits]
-
-
 class _Blocks:
     """The highest-weight spaces of S^(x)m, m <= 3, at rank n: weights, the
     dominant lam with HW_lam nonzero, dims, their dimensions, and qdims, the
@@ -241,28 +214,8 @@ class _Blocks:
 _blocks = lru_cache(maxsize=8)(_Blocks)
 
 
-def _traces(letters: list) -> list:
-    """Per space, the trace of the product of its matrices, one per letter, the
-    first on the left."""
-    out = []
-    for prod, *rest in zip(*letters):
-        for mat in rest:
-            cols = list(zip(*mat))
-            prod = [[sum(map(mul, row, col)) for col in cols] for row in prod]
-        out.append(sum(row[r] for r, row in enumerate(prod)))
-    return out
-
-
 def block_trace(letters: list, n: int, m: int) -> LaurentPoly:
     """Tr_q on S^(x)m, m <= 3, of the product of the crossings (i, sign), the
     first acting first: sum over lam of qdim(L_lam) times the trace of the
-    product of the blocks, on packed ints decoded once."""
-    blocks = _blocks(n, m)
-    qdims = blocks.qdims
-    if not letters:
-        return sum((q.scale(dim) for ((q,),), dim in zip(qdims.values, blocks.dims)), _ZERO)
-    tables = [blocks.letter(i, sign) for i, sign in letters]
-    bound = sum(q * t for ((q,),), t in zip(qdims.norms, _traces([table.norms for table in tables])))
-    bits = _slot_bits(bound)
-    total = sum(q * t for ((q,),), t in zip(qdims.packed(bits), _traces([table.packed(bits) for table in tables])))
-    return _unpack(total, bits, qdims.low + sum(table.low for table in tables), 2)
+    product of the blocks, by spinpoly's block kernel."""
+    return _block_trace(_blocks(n, m), letters)

@@ -675,6 +675,18 @@ def qint_base(n: int, s: int) -> LaurentPoly:
     return LaurentPoly({2 * s * e: 1 for e in range(-(n - 1), n, 2)})
 
 
+def qint_ratio(factors: dict[int, int]) -> LaurentPoly:
+    """The product of [a]^e over the items (a, e) of factors, a Laurent
+    polynomial: the numerator over the denominator by exact division."""
+    num = den = _ONE
+    for a, e in factors.items():
+        if e > 0:
+            num = num * qint(a) ** e
+        elif e < 0:
+            den = den * qint(a) ** -e
+    return poly_divexact(num, den)
+
+
 def qtwo(k: int) -> LaurentPoly:
     """q^k + q^{-k} (equal to 2 when k = 0)."""
     if k == 0:

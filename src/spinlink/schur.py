@@ -10,19 +10,30 @@ polynomial of an a-balanced braid closure is the pairing (1_a, c...c 1_a)_N
 of the braid's element, times (-q^{1/N}) to the colored exponent sum; the
 q^{1/N} lives in the exponent offset of the result.
 
-Production computes the pairing on skew Howe weight spaces (Cautis-
-Kamnitzer-Morrison): (x)_j Lambda_q^{a_j}(C^N) is the weight-a space of the
-U_q(gl_m)-module (Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse
-operator, and the pairing is the quantum trace of their product.  The
-operator commutes with U_q(gl_N), so only states of dominant gl_N weight
-are propagated, each weighted with its S_N-orbit sum (rep.orbit_sum, shared
-with the spin route).  The trace runs on spinpoly's packed kernel: a vector
-maps states to ints, each a Laurent polynomial divided by its lowest power
-of v and evaluated at v^2 = 2^B.  A crossing is a spinpoly.Crossing whose
-image of a column pair is built the first time a state reaches it; its
-tables of l1 norms (for the per-word bound B) and of packed images fill on
-lookup too, and live as long as the crossing.  The cost is linear in the
-crossings.
+The pairing lives on skew Howe weight spaces (Cautis-Kamnitzer-Morrison):
+(x)_j Lambda_q^{a_j}(C^N) is the weight-a space of the U_q(gl_m)-module
+(Lambda_q C^m)^{(x)N}, each c_i^{+-} acts on it as a sparse operator, and the
+pairing is the quantum trace of their product.  A state is an N x m 0/1
+matrix with column sums a; U_q(gl_N) acts on its rows and commutes with the
+crossings.  Three routes compute the pairing:
+
+  blocks        production on at most three strands of one color
+                (slnblocks, imported on the first such word): the sum over lam
+                of qdim_N(lam) * tr(beta | HW_lam), HW_lam the highest-weight
+                vectors for the U_q(gl_N) on the rows, with blocks summed from
+                single image entries of the crossings (_Crossing.entry).
+  weight space  production on four or more strands and for mixed colors, and
+                the oracle of the blocks on three strands.  Only states of
+                dominant gl_N weight are propagated, each weighted with its
+                S_N-orbit sum (rep.orbit_sum, shared with the spin route), on
+                spinpoly's packed kernel: a vector maps states to ints, each a
+                Laurent polynomial divided by its lowest power of v and
+                evaluated at v^2 = 2^B.  A crossing is a spinpoly.Crossing whose
+                image of a column pair is built the first time a state reaches
+                it; its tables of l1 norms (for the per-word bound B) and of
+                packed images fill on lookup too, and live as long as the
+                crossing.  The cost is linear in the crossings.
+  annular       the oracle, below.
 
 The oracle evaluates the same pairing annularly: expand the word, commute
 divided powers with the EF relation, merge equal letters, and rotate the
@@ -300,17 +311,25 @@ def _divided_power(kind: str, s: int, u: int, w: int, N: int) -> dict[tuple[int,
     r' < r (negated) for F."""
     movable = w & ~u if kind == "E" else u & ~w
     rows = [r for r in range(N) if movable >> r & 1]
-    h = [(u >> r & 1) - (w >> r & 1) for r in range(N)]
     out = {}
     for subset in itertools.combinations(rows, s):
         moved = sum(1 << r for r in subset)
-        if kind == "E":
-            e = sum(h[x] for r in subset for x in range(r + 1, N) if not moved >> x & 1)
-            out[(u | moved, w & ~moved)] = e
-        else:
-            e = -sum(h[x] for r in subset for x in range(r) if not moved >> x & 1)
-            out[(u & ~moved, w | moved)] = e
+        pair = (u | moved, w & ~moved) if kind == "E" else (u & ~moved, w | moved)
+        out[pair] = _moved_exponent(kind, moved, u, w)
     return out
+
+
+def _moved_exponent(kind: str, moved: int, u: int, w: int) -> int:
+    """The q-exponent of E (or F) moving the rows of the bitmask moved on columns
+    u, w: each row x that stays adds h(x) = x_i - x_(i+1) times the moved rows
+    below it for E, and -h(x) times the moved rows above it for F."""
+    e, rest = 0, (u ^ w) & ~moved  # the rows that stay with h(x) != 0
+    while rest:
+        low = rest & -rest
+        n = (moved & low - 1).bit_count() if kind == "E" else -(moved >> low.bit_length()).bit_count()
+        e += n if u & low else -n
+        rest ^= low
+    return e
 
 
 class _Crossing(Crossing):
@@ -337,6 +356,28 @@ class _Crossing(Crossing):
                     acc[out] = acc[out] + term if out in acc else term
         img = self[pair] = {out: c for out, c in acc.items() if c}
         return img
+
+    def entry(self, pair: tuple[int, int], target: tuple[int, int]) -> LaurentPoly:
+        """The image of pair at target, without the rest of the image.  Rows
+        holding one 1 in pair and in target: D moves by E and stays, U moves by
+        F, and each row of P either stays or moves by both, so E moves D plus X
+        and F moves U plus X, for X among the s-subsets of P."""
+        (u, w), (u2, w2) = pair, target
+        total = LaurentPoly.zero()
+        if u | w != u2 | w2 or u & w != u2 & w2:
+            return total
+        one = u ^ w
+        D, U, P = one & w & u2, one & u & w2, one & w & w2
+        for e, f, coeff in self.terms:
+            s = e - D.bit_count()
+            if s < 0 or f - U.bit_count() != s:
+                continue
+            for subset in itertools.combinations([r for r in range(self.N) if P >> r & 1], s):
+                X = sum(1 << r for r in subset)
+                down, up = D | X, U | X
+                x = _moved_exponent("E", down, u, w) + _moved_exponent("F", up, u | down, w & ~down)
+                total = total + coeff.shift(2 * x)
+        return total
 
 
 _crossing = lru_cache(maxsize=64)(_Crossing)
@@ -385,6 +426,16 @@ def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
         crossings.append((i, _crossing(N, cur[i - 1], cur[i], sign)))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
     return _packed_trace(crossings, classes)
+
+
+def _pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
+    """Production: the highest-weight blocks on at most three strands of one
+    color, else the weight spaces."""
+    if braid.strands <= 3 and len(set(a)) == 1:
+        from . import slnblocks  # on the first such word: four or more strands never load it
+
+        return slnblocks.block_pairing(braid, a, N)
+    return _weight_space_pairing(braid, a, N)
 
 
 def _annular_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
@@ -438,8 +489,15 @@ def _colored(braid: BraidWord, colors: GlWeight, N: int, pairing) -> GradedScala
 
 
 def eval_slN(braid: BraidWord, colors: GlWeight, N: int) -> GradedScalar:
-    """The colored sl_N polynomial of the a-colored braid closure, by the
-    weight-space route."""
+    """The colored sl_N polynomial of the a-colored braid closure: on the
+    highest-weight blocks for at most three strands of one color, else by
+    the weight-space route."""
+    return _colored(braid, colors, N, _pairing)
+
+
+def eval_slN_weight_space(braid: BraidWord, colors: GlWeight, N: int) -> GradedScalar:
+    """eval_slN by the weight-space route on any braid: the oracle of the
+    blocks on three strands."""
     return _colored(braid, colors, N, _weight_space_pairing)
 
 

@@ -39,9 +39,10 @@ On at most three strands the trace is taken on the highest-weight
 multiplicity spaces instead (hwblocks), which are far smaller (of total
 dimension 10 against 40 dominant start states at n = 3), and whose blocks
 come from the braiding's eigenvalues and the spaces' coordinates alone: no
-crossing data is built, and xcalc and clifford are not loaded.  Four or
-more strands keep the kernel on crossing data, as do sweep_raw_traces and
-the tests' oracles.
+crossing data is built, and xcalc and clifford are not loaded.  The block
+kernel that traces them (_Packable, _block_trace) lives here, since the type
+A blocks of slnblocks run it too.  Four or more strands keep the kernel on
+crossing data, as do sweep_raw_traces and the tests' oracles.
 
 Three normalizations are exposed:
 
@@ -65,6 +66,7 @@ import itertools
 import re
 from functools import lru_cache
 from math import inf
+from operator import mul
 
 from .qalg import GradedScalar, LaurentPoly, _pack, _slot_bits, _unpack, binom2
 from .rep import closure_orbit_sum, dominant_keys, doubled_weight
@@ -333,6 +335,80 @@ def _packed_trace(crossings: list, classes: dict) -> LaurentPoly:
             diagonal += _diagonal(vec, i, last, start)
         total = total + _unpack(diagonal, bits, offset, 2) * w
     return total
+
+
+# -- the block kernel: traces on highest-weight multiplicity spaces -------------------
+#
+# A braid operator that commutes with a quantum group maps each highest-weight
+# space HW_lam to itself, so its quantum trace is sum over lam of
+# qdim(lam) * tr(beta | HW_lam) (Rosso-Jones 1993; the Racah-matrix method of
+# Mironov-Morozov-Morozov 2012).  hwblocks (spin) and slnblocks (type A, one
+# color) build the blocks; both trace them here.
+
+
+class _Packable:
+    """Laurent values, a list of matrices (one per highest-weight space), with
+    low, their lowest exponent, norms, per matrix the largest row sum of its
+    entries' l1 norms (the infinity norm of its majorant), and packed(bits),
+    the matrices packed at v^2 = 2^bits from v^low as (rows, columns), one
+    per width."""
+
+    __slots__ = ("values", "low", "norms", "_packed")
+
+    def __init__(self, values: list):
+        self.values, self._packed = values, {}
+        self.low = min(e for mat in values for row in mat for c in row for e in c.c)
+        self.norms = [max(sum(sum(map(abs, c.c.values())) for c in row) for row in mat) for mat in values]
+
+    def packed(self, bits: int) -> list:
+        if bits not in self._packed:
+            low = self.low
+            rows = [[[_pack(c, low, 2, bits) for c in row] for row in mat] for mat in self.values]
+            self._packed[bits] = [(mat, list(zip(*mat))) for mat in rows]
+        return self._packed[bits]
+
+
+def _traces(letters: list) -> list:
+    """Per space, the trace of the product of its packed matrices, each given as
+    (rows, columns), one per letter, the first on the left."""
+    out = []
+    for (prod, _), *rest in zip(*letters):
+        if len(prod) == 1:  # a 1 x 1 block: a product of ints
+            x = prod[0][0]
+            for _, ((y,),) in rest:
+                x *= y
+            out.append(x)
+            continue
+        for _, cols in rest:
+            prod = [[sum(map(mul, row, col)) for col in cols] for row in prod]
+        out.append(sum(row[r] for r, row in enumerate(prod)))
+    return out
+
+
+def _block_trace(blocks, letters: list) -> LaurentPoly:
+    """The sum over the spaces of qdim times the trace of the product of the
+    letters' blocks, the first letter on the left, on packed ints decoded
+    once.  blocks has qdims, a _Packable of the 1 x 1 matrices [[qdim]], dims,
+    the spaces' dimensions, and letter(i, sign), a _Packable of the blocks.
+    The slot width bounds every coefficient by the sum over spaces of
+    dim * |qdim|_1 * the product of the letters' norms: the l1 norm of
+    polynomials is submultiplicative, so the majorant of a product is at most
+    the product of the majorants, whose trace is at most dim times its
+    infinity norm."""
+    qdims, dims = blocks.qdims, blocks.dims
+    if not letters:
+        return sum((q.scale(dim) for ((q,),), dim in zip(qdims.values, dims)), LaurentPoly.zero())
+    tables = [blocks.letter(i, sign) for i, sign in letters]
+    bound = 0
+    for s, dim in enumerate(dims):
+        term = dim * qdims.norms[s]
+        for table in tables:
+            term *= table.norms[s]
+        bound += term
+    bits = _slot_bits(bound)
+    traces = _traces([table.packed(bits) for table in tables])
+    total = sum(q * t for (((q,),), _), t in zip(qdims.packed(bits), traces))
+    return _unpack(total, bits, qdims.low + sum(table.low for table in tables), 2)
 
 
 def stabilization_factor(n: int) -> GradedScalar:

@@ -9,9 +9,10 @@ The exponent-dict trace kernel is the oracle of the packed kernel
 route on four or more strands run.
 
 The block reader (hw_spaces, crossing_blocks, block_trace_from_crossings) is
-the oracle of hwblocks: it finds each highest-weight space by elimination and
-reads a crossing's blocks off its crossing data, where hwblocks builds them
-from eigenvalues and cap pins.  The two share only hwblocks._qdim.
+the oracle of hwblocks: it finds each highest-weight space by elimination
+(slnblocks.hw_kernel, which the type A blocks run in production) and reads a
+crossing's blocks off its crossing data, where hwblocks builds them from
+eigenvalues and cap pins.  The two share only hwblocks._qdim.
 A crossing is (i, image): it acts on strands i, i+1 of a state, and image(pair)
 is the {pair': LaurentPoly} image of the pair on those strands (None or empty
 if it has none).  Vector coefficients are {v-exponent: coeff} dicts, products
@@ -26,6 +27,7 @@ from spinlink.hwblocks import _qdim
 from spinlink.iqsym import AlgElement
 from spinlink.qalg import GradedScalar, LaurentPoly, report_entry
 from spinlink.rep import LinOp, dominant_keys, doubled_weight, sig_keys
+from spinlink.slnblocks import hw_kernel
 from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
 from spinlink.xcalc import braiding
 
@@ -204,69 +206,6 @@ def raising(key: tuple, i: int, n: int) -> dict[tuple, int]:
                 out[key[:j] + (J ^ 1 << (n - 1),) + key[j + 1 :]] = e
             e += 2 - 4 * a  # k_n = q^(2 w_n)
     return out
-
-
-def _unit_inverse(x: LaurentPoly) -> LaurentPoly | None:
-    """x^-1 if x is a unit +-v^k of Z[v^{+-1}], else None."""
-    if len(x.c) == 1:
-        ((e, c),) = x.c.items()
-        if c in (1, -1):
-            return LaurentPoly.v_pow(-e, c)
-    return None
-
-
-def hw_kernel(columns: list, rows: list[dict]) -> tuple[LaurentPoly, list[tuple]]:
-    """The common kernel of the linear forms rows ({column: LaurentPoly}) as
-    (D, [(f, h_f)]): one vector {column: LaurentPoly} per free column f, D at
-    f and 0 at the other free columns.  Sparse elimination over Z[v^{+-1}]:
-    unit pivots +-v^k first, a fraction-free step only when none is left.
-    Every row is reduced against each pivot in turn, so a pivot row holds its
-    pivot and free columns only."""
-    done: dict = {}  # pivot column -> its row
-    rows = [row for row in rows if row]
-    while rows:
-        unit = next(((k, col) for k, row in enumerate(rows) for col, x in row.items()
-                     if _unit_inverse(x) is not None), None)
-        # fraction-free only when no unit is left: pivot on the shortest entry
-        k, col = unit or min(((k, col) for k, row in enumerate(rows) for col in row),
-                             key=lambda kc: len(rows[kc[0]][kc[1]].c))
-        row = rows.pop(k)
-        d = row[col]
-        if unit:
-            inv = _unit_inverse(d)
-            row = {c: x * inv for c, x in row.items()}
-        for other in (*rows, *done.values()):
-            a = other.pop(col, None)
-            if a is not None:
-                if not unit:
-                    for c, x in other.items():
-                        other[c] = x * d
-                for c, x in row.items():
-                    if c != col:
-                        s = other.get(c, LaurentPoly.zero()) - a * x
-                        if s:
-                            other[c] = s
-                        else:
-                            other.pop(c, None)
-        rows = [other for other in rows if other]
-        done[col] = row
-    den = LaurentPoly.one()
-    for col, row in done.items():
-        d = row[col]
-        if _unit_inverse(d) is None:
-            den = den * qalg.poly_divexact(d, qalg.poly_gcd(den, d))
-    den = den.shift(-den.v_valuation())  # a unit less, still a multiple of every pivot
-    basis = []
-    for f in columns:
-        if f not in done:
-            h = {f: den}
-            for col, row in done.items():
-                x = row.get(f)
-                if x is not None:
-                    d = row[col]
-                    h[col] = -(x * den if d.is_one() else qalg.poly_divexact(x * den, d))
-            basis.append((f, h))
-    return den, basis
 
 
 class HWSpaces:

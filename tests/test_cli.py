@@ -141,6 +141,21 @@ class TestVerify:
         status = {e["identity_id"]: e["status"] for e in json.loads(out)}
         assert status["weight-space-equals-annular"] == "fail" and status["q1-dimension"] == "pass"
 
+    def test_schur_fails_when_the_weight_space_route_is_wrong(self, capsys, monkeypatch):
+        # production takes blocks on three strands, so the weight-space route is
+        # evaluated there on its own
+        pairing = schur._weight_space_pairing
+
+        def negated(braid, a, N):
+            value = pairing(braid, a, N)
+            return -value if braid.strands == 3 else value
+
+        monkeypatch.setattr(schur, "_weight_space_pairing", negated)
+        code, out, _ = run(capsys, "verify", "schur", "--format", "json")
+        assert code == 1
+        status = {e["identity_id"]: e["status"] for e in json.loads(out)}
+        assert status["weight-space-equals-annular"] == "fail" and status["q1-dimension"] == "pass"
+
     def test_conjectures_never_gate(self, capsys):
         code, out, _ = run(capsys, "verify", "conjectures", "--n", "2")
         assert code == 0
@@ -411,8 +426,12 @@ class TestImportFootprint:
     @pytest.mark.parametrize(
         "argv, loaded, absent",
         (
-            (("poly", "sln", "--N", "3", "--colors", "1,1,1", "--braid", "1 -2 1"), {"spinlink.schur"},
+            (("poly", "sln", "--N", "3", "--colors", "1,1,1", "--braid", "1 -2 1"),
+             {"spinlink.schur", "spinlink.slnblocks"},
              {"spinlink.xcalc", "spinlink.clifford", "spinlink.iqsym", "spinlink.hwblocks", "dataclasses"}),
+            (("poly", "sln", "--N", "3", "--colors", "1,1,1,1", "--braid", "1 -2 3"), {"spinlink.schur"},
+             {"spinlink.xcalc", "spinlink.clifford", "spinlink.iqsym", "spinlink.hwblocks", "spinlink.slnblocks",
+              "dataclasses"}),
             (("poly", "spin", "--n", "2", "--braid", "1 2"), {"spinlink.hwblocks"},
              {"spinlink.xcalc", "spinlink.clifford", "spinlink.schur", "spinlink.iqsym", "dataclasses"}),
             (("poly", "spin", "--n", "2", "--braid", "1 2 3"), {"spinlink.xcalc", "spinlink.clifford"},
@@ -421,7 +440,8 @@ class TestImportFootprint:
              {"spinlink.hwblocks"}),
             (("verify", "xcalc", "--n", "1"), {"spinlink.xcalc"}, {"spinlink.schur"}),
         ),
-        ids=("poly-sln", "poly-spin", "poly-spin-four-strands", "poly-spin-symbolic", "verify-xcalc"),
+        ids=("poly-sln", "poly-sln-four-strands", "poly-spin", "poly-spin-four-strands", "poly-spin-symbolic",
+             "verify-xcalc"),
     )
     def test_a_command_loads_only_its_route(self, argv, loaded, absent):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import weighted_trace
-from spinlink import schur, spinpoly
+from helpers import crossing_blocks, weighted_trace
+from spinlink import schur, slnblocks, spinpoly
 from spinlink.qalg import GradedScalar, LaurentPoly, _pack, poly_divexact, qbinom, qint
 from spinlink.rep import orbit_sum
 from spinlink.schur import (
@@ -364,6 +364,10 @@ class TestWeightSpaceRoute:
         assert {"_crossing", "_dominant_states", "orbit_sum", "_binom_merge"} <= caches
         for name in caches:
             assert getattr(schur, name).cache_info().maxsize is not None, name
+        blocks = {name for name, fn in vars(slnblocks).items() if hasattr(fn, "cache_info")}
+        assert "_blocks" in blocks
+        for name in blocks:
+            assert getattr(slnblocks, name).cache_info().maxsize is not None, name
 
 
 def _dict_kernel_pairing(braid, a, N):
@@ -473,17 +477,120 @@ class TestPackedPairing:
             schur._crossing.cache_clear()
 
 
+def _apply(vec, operator):
+    """A linear map given on states ({state: LaurentPoly} per state) applied to a vector."""
+    out = {}
+    for key, c in vec.items():
+        for image, x in operator(key).items():
+            out[image] = out.get(image, LaurentPoly.zero()) + c * x
+    return {key: c for key, c in out.items() if c}
+
+
+class TestBlocks:
+    """The highest-weight block route, production on at most three strands of one
+    color, against the weight-space route."""
+
+    # (N, c) with every route affordable on all 3-strand words of length <= 4
+    GRID = ((1, 0), (1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2), (5, 3), (6, 2), (6, 3))
+
+    def test_raising_commutes_with_every_crossing(self):
+        # the lemma the bases rest on: E_r commutes with c^{+-} on every column pair
+        for N in range(1, 6):
+            for a, b, sign in itertools.product(range(N + 1), range(N + 1), (1, -1)):
+                crossing = schur._crossing(N, a, b, sign)
+                for u, w in itertools.product(range(1 << N), repeat=2):
+                    if bin(u).count("1") == a and bin(w).count("1") == b:
+                        start = {(u, w): LaurentPoly.one()}
+                        for r in range(1, N):
+                            raised = _apply(_apply(start, crossing.__getitem__), lambda key: slnblocks._raising(key, r))
+                            assert raised == _apply(_apply(start, lambda key: slnblocks._raising(key, r)),
+                                                    crossing.__getitem__), (N, a, b, sign, u, w, r)
+
+    def test_an_entry_is_the_image_at_its_target(self):
+        zero = LaurentPoly.zero()
+        for N in range(0, 5):
+            for a, b, sign in itertools.product(range(N + 1), range(N + 1), (1, -1)):
+                crossing = schur._crossing(N, a, b, sign)
+                column = {k: [u for u in range(1 << N) if bin(u).count("1") == k] for k in range(N + 1)}
+                for pair in itertools.product(column[a], column[b]):
+                    image = crossing[pair]
+                    for target in itertools.product(column[b], column[a]):
+                        assert crossing.entry(pair, target) == image.get(target, zero), (N, sign, pair, target)
+
+    def test_every_vector_is_highest_weight(self):
+        # each basis vector, on every state at q^swaps times its value on the ordered
+        # state, is killed by every E_r, and is D at its own free state, 0 at the others
+        zero = LaurentPoly.zero()
+        for N, c in ((3, 1), (4, 2), (5, 2), (6, 3)):
+            for m in (2, 3):
+                blocks = slnblocks._blocks(N, c, m)
+                for (den, basis), keys in zip(blocks.bases, blocks.keys):
+                    frees = [f for f, _ in basis]
+                    for f, h in basis:
+                        full = {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h}
+                        assert all(_apply(full, lambda key: slnblocks._raising(key, r)) == {} for r in range(1, N))
+                        assert [full.get(g, zero) for g in frees] == [den if g == f else zero for g in frees]
+
+    @pytest.mark.parametrize("N, c", ((2, 1), (3, 1), (4, 2), (5, 2)))
+    def test_blocks_are_the_crossing_on_the_basis(self, N, c):
+        # row r of a block holds sigma h_r at the free states: the whole image of
+        # each basis vector, on every state, read there
+        blocks = slnblocks._blocks(N, c, 3)
+        bases = [(den, [(f, {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h})
+                        for f, h in basis]) for (den, basis), keys in zip(blocks.bases, blocks.keys)]
+        for i, sign in itertools.product((1, 2), (1, -1)):
+            assert blocks.letter(i, sign).values == crossing_blocks(schur._crossing(N, c, c, sign), i, bases), (i, sign)
+
+    @pytest.mark.parametrize("N, c", GRID)
+    def test_equals_the_weight_space_route(self, N, c):
+        for m in (1, 2, 3):
+            for b in _all_words(m, 4 if m > 1 else 0):
+                a = (c,) * m
+                assert slnblocks.block_pairing(b, a, N) == schur._weight_space_pairing(b, a, N), (b.letters, N, c)
+
+    def test_empty_word(self):
+        for N in range(0, 8):
+            for c in range(N + 1):
+                for m in (1, 2, 3):
+                    assert slnblocks.block_pairing(BraidWord(m, ()), (c,) * m, N) == qbinom(N, c) ** m, (N, c, m)
+
+    def test_three_strands_need_no_fraction_free_step(self):
+        for N in range(0, 9):
+            for c in range(N + 1):
+                assert all(den.is_one() for den, _ in slnblocks._blocks(N, c, 3).bases), (N, c)
+        spaces = slnblocks._blocks(8, 4, 3)
+        assert (len(spaces.dims), sum(spaces.dims)) == (13, 29)
+
+    def test_production_takes_blocks_on_three_strands_of_one_color(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("weight-space route run")
+
+        b = parse_braid("1 -2 1 2", 3)
+        want = eval_slN(b, (2, 2, 2), 4)
+        monkeypatch.setattr(schur, "_weight_space_pairing", refuse)
+        assert eval_slN(b, (2, 2, 2), 4) == want
+        with pytest.raises(AssertionError, match="weight-space route run"):
+            eval_slN(parse_braid("1 1", 2), (1, 2), 3)
+        with pytest.raises(AssertionError, match="weight-space route run"):
+            eval_slN(parse_braid("1 2 3", 4), (1, 1, 1, 1), 3)
+
+    @pytest.mark.parametrize("text", ("1 2 1 2 1 2 1 2", "1 -2 1 -2 1 -2"))
+    def test_middle_color_at_rank_eight(self, text):
+        b = parse_braid(text, 3)
+        value = eval_slN(b, (4, 4, 4), 8)
+        assert abs(_at_one(value)) == math.comb(8, 4) ** closure_components(b)
+
+
 class TestTypeAProperties:
     """Properties of the colored invariant itself, checked without a second route."""
 
-    # (strands, braid, largest N): every color 0 <= c <= N is covered.  At N = 7, 8
-    # (s1 s2)^4 takes 4 s to a minute per middle color, so it stops at N = 6.
+    # (strands, braid, largest N): every color 0 <= c <= N is covered.
     CASES = (
         (3, "1 2", 8),
         (3, "1 -2 1 -2", 8),
         (3, "1 1 1 2", 8),
         (3, "1 1 2", 8),
-        (3, "1 2 1 2 1 2 1 2", 6),
+        (3, "1 2 1 2 1 2 1 2", 8),
         (4, "1 2 3", 6),
         (4, "1 -2 3 -2", 6),
         (4, "1 1 2 -3", 6),
@@ -540,7 +647,7 @@ class TestLambdaSpin:
         p = value.body
         return all(Fraction(c).denominator == 1 and c % 2 == 0 for c in p.c.values())
 
-    @pytest.mark.parametrize("n,max_len", ((1, 4), (2, 4), (3, 3)), ids=("1", "2", "3"))
+    @pytest.mark.parametrize("n,max_len", ((1, 4), (2, 4), (3, 4)), ids=("1", "2", "3"))
     def test_short_three_strand_words(self, n, max_len):
         for b in _all_words(3, max_len):
             assert self._is_even(self._difference(b, n)), (n, b.letters)

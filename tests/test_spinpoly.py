@@ -359,6 +359,44 @@ class TestPackedCoefficients:
         assert bits % 8 == 0 and bound < 1 << bits - 1
 
 
+class TestBlockKernel:
+    """spinpoly._block_trace, which both block routes run, against plain Laurent
+    matrix products."""
+
+    class _Blocks:
+        def __init__(self, qdims, letters):
+            self.qdims, self.dims = spinpoly._Packable([[[q]] for q in qdims]), [len(m) for m in letters[1, 1]]
+            self.tables = {key: spinpoly._Packable(mats) for key, mats in letters.items()}
+
+        def letter(self, i, sign):
+            return self.tables[i, sign]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_products_without_cancellation(self, seed):
+        # positive coefficients leave the slot bound nearly tight: the width must
+        # still hold every coefficient of the sum
+        rng = random.Random(seed)
+
+        def poly():
+            return LaurentPoly({2 * e: rng.randint(1, 999) for e in range(rng.randint(-3, 0), rng.randint(1, 4))})
+
+        dims = [1, 2, 3]
+        letters = {(i, sign): [[[poly() for _ in range(d)] for _ in range(d)] for d in dims]
+                   for i in (1, 2) for sign in (1, -1)}
+        qdims = [poly() for _ in dims]
+        blocks = self._Blocks(qdims, letters)
+        word = [(rng.randint(1, 2), rng.choice((1, -1))) for _ in range(8)]
+        want = LaurentPoly.zero()
+        for s, q in enumerate(qdims):
+            prod = letters[word[0]][s]
+            for key in word[1:]:
+                prod = [[sum((x * y for x, y in zip(row, col)), LaurentPoly.zero()) for col in zip(*letters[key][s])]
+                        for row in prod]
+            want = want + q * sum((row[r] for r, row in enumerate(prod)), LaurentPoly.zero())
+        assert spinpoly._block_trace(blocks, word) == want
+        assert spinpoly._block_trace(blocks, []) == sum((q.scale(d) for q, d in zip(qdims, dims)), LaurentPoly.zero())
+
+
 class TestStabilization:
     @pytest.mark.parametrize("n", (1, 2))
     def test_factor_on_unknot(self, n):
