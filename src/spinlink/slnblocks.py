@@ -21,14 +21,15 @@ E_r has one target on them with two sources, and a highest-weight vector
 takes q times its value on (A, B) at (B, A) when A < B (rows compared as the
 tuples of their columns).  Its value on a state is therefore q^swaps times
 its value on the state with each run in order, and only E_r between two runs
-is left; its relations at targets whose other rows are out of order are
-units times those in order, so only those are kept.  The kernel (hw_kernel,
-which the spin oracle in the tests runs too) is taken on the ordered states
-alone: 47 vectors of 18 spaces from 4,653 states at most at (N, c) = (10, 5),
-with D = 1.  A block entry sums the crossing's single image entries
-(schur._Crossing.entry) over the states the crossing takes to a free state,
-so no image is built whole.  The blocks are traced by spinpoly's block
-kernel, which the spin blocks of hwblocks share.
+is left, at targets whose other rows are in order (the rest are units times
+those): its sources are in order but for rows r - 1 and r.  Both kinds of
+state are enumerated directly (_states), and put in order only when read.
+The kernel (hw_kernel, which the spin oracle in the tests runs too) is taken
+on the ordered states alone: 47 vectors of 18 spaces from 104 ordered states
+at (N, c) = (10, 5), with D = 1.  A block entry sums the crossing's single
+image entries (schur._Crossing.entry) over the states the crossing takes to a
+free state, so no image is built whole.  The blocks are traced by spinpoly's
+block kernel, which the spin blocks of hwblocks share.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .qalg import LaurentPoly, poly_divexact, poly_gcd, qint_ratio
-from .schur import _crossing, _dominant_states
+from .schur import _crossing
 from .spinpoly import BraidWord, _block_trace, _Packable
 
 
@@ -139,47 +140,55 @@ def _run_sorted(columns: tuple[int, ...], runs: list[range]) -> tuple[tuple[int,
     return tuple(sum(1 << r for r, row in enumerate(rows) if j in row) for j in range(len(columns))), swaps
 
 
-def _in_order(columns: tuple[int, ...], runs: list[range], skip: tuple[int, int]) -> bool:
-    """Whether the rows of each run, but for the rows skip, are in increasing order."""
-    rows = [tuple(j for j, u in enumerate(columns) if u >> r & 1) for r in range(runs[-1].stop)]
-    for run in runs:
-        part = [rows[r] for r in run if r not in skip]
-        if part != sorted(part):
-            return False
-    return True
+def _states(lam: tuple[int, ...], a: tuple[int, ...], free: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The states of row sums lam and column sums a whose rows, but for the rows
+    free, are in increasing order inside each run.  Rows are chosen top down,
+    each leaving a remainder the rows below can hold."""
+    states = [((0,) * len(a), a, ())]  # (columns so far, column sums left, last row)
+    for r, size in enumerate(lam):
+        grown = []
+        for columns, left, prev in states:
+            for row in itertools.combinations(range(len(a)), size):
+                rest = tuple(x - (j in row) for j, x in enumerate(left))
+                ordered = row >= prev or size != lam[r - 1] or r in free or r - 1 in free
+                if ordered and min(rest) >= 0 and max(rest) < len(lam) - r:
+                    grown.append((tuple(u | (j in row) << r for j, u in enumerate(columns)), rest, row))
+        states = grown
+    return [columns for columns, _, _ in states]
 
 
 class _Blocks:
     """The highest-weight spaces of the weight-(c^m) space at N, m <= 3: bases,
     the (D, [(f, h_f)]) of each nonzero HW_lam on its ordered states, keys, per
-    space every state of row sums lam mapped to (its ordered state, swaps),
-    dims, their dimensions, and qdims, the 1 x 1 matrices [[qdim_N(lam)]];
-    letter(i, sign) is the crossing's blocks on columns i, i + 1, built on
-    first use."""
+    space a table state -> (ordered state, swaps) filled on lookup from runs,
+    the runs of lam, dims, their dimensions, and qdims, the 1 x 1 matrices
+    [[qdim_N(lam)]]; letter(i, sign) is the crossing's blocks on columns i,
+    i + 1, built on first use."""
 
-    __slots__ = ("N", "c", "bases", "keys", "dims", "qdims", "_letters")
+    __slots__ = ("N", "c", "bases", "keys", "runs", "dims", "qdims", "_letters")
 
     def __init__(self, N: int, c: int, m: int):
         self.N, self.c, self._letters = N, c, {}
-        by_rows: dict[tuple, list] = {}
-        for columns, _ in _dominant_states((c,) * m, N):
-            by_rows.setdefault(tuple(sum(u >> r & 1 for u in columns) for r in range(N)), []).append(columns)
-        self.bases, self.keys, qdims = [], [], []
-        for lam, states in by_rows.items():
+        self.bases, self.keys, self.runs, qdims = [], [], [], []
+        for lam in itertools.combinations_with_replacement(range(m, -1, -1), N):  # non-increasing
+            if sum(lam) != m * c:
+                continue
             starts = [r for r in range(N) if r == 0 or lam[r] != lam[r - 1]]
             runs = [range(a, b) for a, b in zip(starts, starts[1:] + [N])] or [range(0)]
-            keys = {state: _run_sorted(state, runs) for state in states}
+            keys: dict = {}  # state -> (its ordered state, swaps), filled on lookup
             rows: dict[tuple, dict] = {}  # one per state of row sums lam + alpha_r, r between runs
-            for state, (key, swaps) in keys.items():
-                for r in starts[1:]:
+            for r in starts[1:]:
+                for state in _states(lam, (c,) * m, (r - 1, r)):
                     images = _raising(state, r)
-                    if images and _in_order(state, runs, (r - 1, r)):
+                    if images:
+                        key, swaps = keys.get(state) or keys.setdefault(state, _run_sorted(state, runs))
                         for target, x in images.items():
                             rows.setdefault(target, {})[key] = x.shift(2 * swaps)
-            den, basis = hw_kernel(list(dict.fromkeys(key for key, _ in keys.values())), list(rows.values()))
+            den, basis = hw_kernel(_states(lam, (c,) * m), list(rows.values()))
             if basis:
                 self.bases.append((den, basis))
                 self.keys.append(keys)
+                self.runs.append(runs)
                 qdims.append([[_hook_qdim(lam, N)]])
         self.dims = [len(basis) for _, basis in self.bases]
         self.qdims = _Packable(qdims)
@@ -190,7 +199,7 @@ class _Blocks:
         if (i, sign) not in self._letters:
             crossing, zero = _crossing(self.N, self.c, self.c, sign), LaurentPoly.zero()
             mats = []
-            for (den, basis), keys in zip(self.bases, self.keys):
+            for (den, basis), keys, runs in zip(self.bases, self.keys, self.runs):
                 mat = [[zero] * len(basis) for _ in basis]
                 for col, (f, _) in enumerate(basis):
                     u2, w2 = f[i - 1 : i + 1]
@@ -201,7 +210,8 @@ class _Blocks:
                         w = both | one & ~u
                         x = crossing.entry((u, w), (u2, w2))
                         if x:
-                            key, swaps = keys[f[: i - 1] + (u, w) + f[i + 1 :]]
+                            state = f[: i - 1] + (u, w) + f[i + 1 :]
+                            key, swaps = keys.get(state) or keys.setdefault(state, _run_sorted(state, runs))
                             for row, (_, h) in zip(mat, basis):
                                 if key in h:
                                     row[col] = row[col] + (x * h[key]).shift(2 * swaps)

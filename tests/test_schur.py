@@ -1,5 +1,7 @@
 """Tests for colored sl_N: EF calculus, annular evaluation, the weight-space route, and properties of the values."""
 
+import functools
+import hashlib
 import itertools
 import math
 import operator
@@ -517,17 +519,73 @@ class TestBlocks:
                     for target in itertools.product(column[b], column[a]):
                         assert crossing.entry(pair, target) == image.get(target, zero), (N, sign, pair, target)
 
+    @staticmethod
+    def _runs(lam):
+        starts = [r for r in range(len(lam)) if r == 0 or lam[r] != lam[r - 1]]
+        return [range(a, b) for a, b in zip(starts, starts[1:] + [len(lam)])] or [range(0)]
+
+    @staticmethod
+    def _row_sums(state, N):
+        return tuple(sum(u >> r & 1 for u in state) for r in range(N))
+
+    @classmethod
+    def _expanded(cls, blocks, N, c, m):
+        # each basis vector on every dominant state of its row sums, at q^swaps
+        # times its value on the ordered state
+        states = [state for state, _ in schur._dominant_states((c,) * m, N)]
+        out = []
+        for den, basis in blocks.bases:
+            lam = cls._row_sums(basis[0][0], N)
+            keys = {state: slnblocks._run_sorted(state, cls._runs(lam)) for state in states
+                    if cls._row_sums(state, N) == lam}
+            out.append((den, [(f, {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h})
+                              for f, h in basis]))
+        return out
+
+    def test_states_are_the_ordered_states_of_the_walk(self):
+        # the enumerated states against every dominant state: the ordered ones
+        # are the run-sorted states, the sources those in order but for rows r - 1, r
+        for N in range(0, 8):
+            for c, m in itertools.product(range(N + 1), (1, 2, 3)):
+                states = [state for state, _ in schur._dominant_states((c,) * m, N)]
+                for lam in itertools.combinations_with_replacement(range(m, -1, -1), N):
+                    runs = self._runs(lam)
+                    mine = [state for state in states if self._row_sums(state, N) == lam]
+                    ordered = slnblocks._states(lam, (c,) * m)
+                    assert len(ordered) == len(set(ordered))
+                    assert set(ordered) == {slnblocks._run_sorted(state, runs)[0] for state in mine}, (N, c, m, lam)
+                    for r in [run.start for run in runs[1:]]:
+                        sources = slnblocks._states(lam, (c,) * m, (r - 1, r))
+                        want = set()
+                        for state in mine:
+                            rows = [tuple(j for j, u in enumerate(state) if u >> t & 1) for t in range(N)]
+                            parts = [[rows[t] for t in run if t not in (r - 1, r)] for run in runs]
+                            if all(part == sorted(part) for part in parts):
+                                want.add(state)
+                        assert len(sources) == len(set(sources)) and set(sources) == want, (N, c, m, lam, r)
+
+    def test_blocks_walk_no_dominant_state(self, monkeypatch):
+        # the set-up reads only the states it needs: no walk over every dominant
+        # state, and fewer table entries than the 10,828 dominant states at (10, 5)
+        def refuse(*args):
+            raise AssertionError("dominant states walked")
+
+        monkeypatch.setattr(schur, "_dominant_states", refuse)
+        monkeypatch.setattr(slnblocks, "_dominant_states", refuse, raising=False)
+        monkeypatch.setattr(slnblocks, "_blocks", functools.lru_cache(maxsize=8)(slnblocks._Blocks))
+        value = slnblocks.block_pairing(parse_braid("1 2 1 2", 3), (5, 5, 5), 10)
+        assert hashlib.sha256(repr(sorted(value.c.items())).encode()).hexdigest()[:16] == "f3f321d9747ca4fa"
+        assert sum(len(keys) for keys in slnblocks._blocks(10, 5, 3).keys) < 10828
+
     def test_every_vector_is_highest_weight(self):
         # each basis vector, on every state at q^swaps times its value on the ordered
         # state, is killed by every E_r, and is D at its own free state, 0 at the others
         zero = LaurentPoly.zero()
         for N, c in ((3, 1), (4, 2), (5, 2), (6, 3)):
             for m in (2, 3):
-                blocks = slnblocks._blocks(N, c, m)
-                for (den, basis), keys in zip(blocks.bases, blocks.keys):
+                for den, basis in self._expanded(slnblocks._blocks(N, c, m), N, c, m):
                     frees = [f for f, _ in basis]
-                    for f, h in basis:
-                        full = {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h}
+                    for f, full in basis:
                         assert all(_apply(full, lambda key: slnblocks._raising(key, r)) == {} for r in range(1, N))
                         assert [full.get(g, zero) for g in frees] == [den if g == f else zero for g in frees]
 
@@ -536,8 +594,7 @@ class TestBlocks:
         # row r of a block holds sigma h_r at the free states: the whole image of
         # each basis vector, on every state, read there
         blocks = slnblocks._blocks(N, c, 3)
-        bases = [(den, [(f, {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h})
-                        for f, h in basis]) for (den, basis), keys in zip(blocks.bases, blocks.keys)]
+        bases = self._expanded(blocks, N, c, 3)
         for i, sign in itertools.product((1, 2), (1, -1)):
             assert blocks.letter(i, sign).values == crossing_blocks(schur._crossing(N, c, c, sign), i, bases), (i, sign)
 
@@ -555,11 +612,13 @@ class TestBlocks:
                     assert slnblocks.block_pairing(BraidWord(m, ()), (c,) * m, N) == qbinom(N, c) ** m, (N, c, m)
 
     def test_three_strands_need_no_fraction_free_step(self):
-        for N in range(0, 9):
+        for N in range(0, 11):
             for c in range(N + 1):
                 assert all(den.is_one() for den, _ in slnblocks._blocks(N, c, 3).bases), (N, c)
         spaces = slnblocks._blocks(8, 4, 3)
         assert (len(spaces.dims), sum(spaces.dims)) == (13, 29)
+        spaces = slnblocks._blocks(10, 5, 3)
+        assert (len(spaces.dims), sum(spaces.dims)) == (18, 47)
 
     def test_production_takes_blocks_on_three_strands_of_one_color(self, monkeypatch):
         def refuse(*args):
