@@ -263,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
 
             braid = parse_braid(args.braid, args.strands)
             try:
-                colors = tuple(int(c) for c in args.colors.split(",") if c.strip() != "")
+                colors = tuple(int(c) for c in args.colors.split(","))
             except ValueError:
                 raise ValueError(f"--colors takes comma-separated integers, got {args.colors!r}") from None
             value = schur.eval_slN(braid, colors, args.N)

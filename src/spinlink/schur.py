@@ -24,8 +24,10 @@ crossings.  Three routes compute the pairing:
                 single image entries of the crossings (_Crossing.entry).
   weight space  production on four or more strands and for mixed colors, and
                 the oracle of the blocks on three strands.  Only states of
-                dominant gl_N weight are propagated, each weighted with its
-                S_N-orbit sum (rep.orbit_sum, shared with the spin route), on
+                dominant gl_N weight are propagated, in one class per shape of
+                row sums, built once per input (_dominant_classes, by _states,
+                which slnblocks shares) and weighted with its S_N-orbit sum
+                (rep.orbit_sum, shared with the spin route), on
                 spinpoly's packed kernel: a vector maps states to ints, each a
                 Laurent polynomial divided by its lowest power of v and
                 evaluated at v^2 = 2^B.  A crossing is a spinpoly.Crossing whose
@@ -383,34 +385,37 @@ class _Crossing(Crossing):
 _crossing = lru_cache(maxsize=64)(_Crossing)
 
 
-@lru_cache(maxsize=16)
-def _dominant_states(a: GlWeight, N: int) -> tuple[tuple[tuple[int, ...], LaurentPoly], ...]:
-    """The states of weight a whose row sums are non-increasing, each with the
-    orbit sum of its row sums against 2 rho = (N - 1, N - 3, ..., 1 - N).  Rows are
-    chosen top down, each no longer than the one above and leaving a remainder the
-    rows below can hold."""
-    m = len(a)
-    out = []
+def _shapes(total: int, m: int, N: int) -> list[tuple[int, ...]]:
+    """The non-increasing shapes of N rows, each of at most m boxes, with total boxes."""
+    return [lam for lam in itertools.combinations_with_replacement(range(m, -1, -1), N) if sum(lam) == total]
 
-    def place(r: int, left: tuple[int, ...], cap: int, rows: tuple[tuple[int, ...], ...]) -> None:
-        if r == N:
-            out.append(rows)
-            return
-        below = N - r - 1
-        for size in range(min(cap, m), -1, -1):
-            if sum(left) > size * (below + 1):
-                break
-            for row in itertools.combinations(range(m), size):
+
+def _states(lam: tuple[int, ...], a: tuple[int, ...], free: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
+    """The states of row sums lam and column sums a whose rows, but for the rows
+    free, are in increasing order inside each run.  Rows are chosen top down,
+    each leaving a remainder the rows below can hold."""
+    states = [((0,) * len(a), a, ())]  # (columns so far, column sums left, last row)
+    for r, size in enumerate(lam):
+        grown = []
+        for columns, left, prev in states:
+            for row in itertools.combinations(range(len(a)), size):
                 rest = tuple(x - (j in row) for j, x in enumerate(left))
-                if min(rest) >= 0 and max(rest) <= below:
-                    place(r + 1, rest, size, rows + (row,))
+                ordered = row >= prev or size != lam[r - 1] or r in free or r - 1 in free
+                if ordered and min(rest) >= 0 and max(rest) < len(lam) - r:
+                    grown.append((tuple(u | (j in row) << r for j, u in enumerate(columns)), rest, row))
+        states = grown
+    return [columns for columns, _, _ in states]
 
-    place(0, tuple(a), m, ())
-    states, two_rho = [], tuple(range(N - 1, -N, -2))
-    for rows in out:
-        columns = tuple(sum(1 << r for r, row in enumerate(rows) if j in row) for j in range(m))
-        states.append((columns, orbit_sum(tuple(len(row) for row in rows), two_rho, False)))
-    return tuple(states)
+
+@lru_cache(maxsize=16)
+def _dominant_classes(a: GlWeight, N: int) -> dict[LaurentPoly, list[tuple[int, ...]]]:
+    """The states of weight a with non-increasing row sums, one class per shape lam
+    (every row free), keyed by the orbit sum of lam against 2 rho = (N - 1, ..., 1 - N)."""
+    classes: dict[LaurentPoly, list] = {}
+    for lam in _shapes(sum(a), len(a), N):
+        if states := _states(lam, a, free=range(N)):
+            classes.setdefault(orbit_sum(lam, tuple(range(N - 1, -N, -2)), False), []).extend(states)
+    return classes
 
 
 def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
@@ -418,14 +423,11 @@ def _weight_space_pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:
     dominant states (the operator commutes with U_q(gl_N), so the trace on a
     gl_N weight space is S_N-invariant), grouped by orbit sum.  The first
     letter acts first."""
-    classes: dict[LaurentPoly, list] = {}
-    for start, weight in _dominant_states(a, N):
-        classes.setdefault(weight, []).append(start)
     crossings, cur = [], list(a)
     for i, sign in braid.letters:
         crossings.append((i, _crossing(N, cur[i - 1], cur[i], sign)))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return _packed_trace(crossings, classes)
+    return _packed_trace(crossings, _dominant_classes(a, N))
 
 
 def _pairing(braid: BraidWord, a: GlWeight, N: int) -> LaurentPoly:

@@ -23,7 +23,7 @@ tuples of their columns).  Its value on a state is therefore q^swaps times
 its value on the state with each run in order, and only E_r between two runs
 is left, at targets whose other rows are in order (the rest are units times
 those): its sources are in order but for rows r - 1 and r.  Both kinds of
-state are enumerated directly (_states), and put in order only when read.
+state are enumerated directly (schur._states), and put in order when read.
 The kernel (hw_kernel, which the spin oracle in the tests runs too) is taken
 on the ordered states alone: 47 vectors of 18 spaces from 104 ordered states
 at (N, c) = (10, 5), with D = 1.  A block entry sums the crossing's single
@@ -39,7 +39,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .qalg import LaurentPoly, poly_divexact, poly_gcd, qint_ratio
-from .schur import _crossing
+from .schur import _crossing, _shapes, _states
 from .spinpoly import BraidWord, _block_trace, _Packable
 
 
@@ -140,23 +140,6 @@ def _run_sorted(columns: tuple[int, ...], runs: list[range]) -> tuple[tuple[int,
     return tuple(sum(1 << r for r, row in enumerate(rows) if j in row) for j in range(len(columns))), swaps
 
 
-def _states(lam: tuple[int, ...], a: tuple[int, ...], free: tuple[int, ...] = ()) -> list[tuple[int, ...]]:
-    """The states of row sums lam and column sums a whose rows, but for the rows
-    free, are in increasing order inside each run.  Rows are chosen top down,
-    each leaving a remainder the rows below can hold."""
-    states = [((0,) * len(a), a, ())]  # (columns so far, column sums left, last row)
-    for r, size in enumerate(lam):
-        grown = []
-        for columns, left, prev in states:
-            for row in itertools.combinations(range(len(a)), size):
-                rest = tuple(x - (j in row) for j, x in enumerate(left))
-                ordered = row >= prev or size != lam[r - 1] or r in free or r - 1 in free
-                if ordered and min(rest) >= 0 and max(rest) < len(lam) - r:
-                    grown.append((tuple(u | (j in row) << r for j, u in enumerate(columns)), rest, row))
-        states = grown
-    return [columns for columns, _, _ in states]
-
-
 class _Blocks:
     """The highest-weight spaces of the weight-(c^m) space at N, m <= 3: bases,
     the (D, [(f, h_f)]) of each nonzero HW_lam on its ordered states, keys, per
@@ -170,9 +153,7 @@ class _Blocks:
     def __init__(self, N: int, c: int, m: int):
         self.N, self.c, self._letters = N, c, {}
         self.bases, self.keys, self.runs, qdims = [], [], [], []
-        for lam in itertools.combinations_with_replacement(range(m, -1, -1), N):  # non-increasing
-            if sum(lam) != m * c:
-                continue
+        for lam in _shapes(m * c, m, N):
             starts = [r for r in range(N) if r == 0 or lam[r] != lam[r - 1]]
             runs = [range(a, b) for a, b in zip(starts, starts[1:] + [N])] or [range(0)]
             keys: dict = {}  # state -> (its ordered state, swaps), filled on lookup

@@ -185,12 +185,15 @@ def _crossing_data(n: int, sign: int) -> tuple[Crossing, LaurentPoly]:
 
 
 @lru_cache(maxsize=16)
-def _orbit_closure(n: int, m: int) -> dict[tuple[int, ...], LaurentPoly]:
-    """The start columns of S^(x)m of dominant total weight mu, in order, each
-    mapped to sum_{nu in W mu} closure(nu), with weights doubled (rep.doubled_weight)."""
-    dominant = {column: doubled_weight(column, n) for column in dominant_keys(m, n)}
-    sums = {wt: closure_orbit_sum(wt, m, n) for wt in set(dominant.values())}
-    return {column: sums[wt] for column, wt in dominant.items()}
+def _orbit_classes(n: int, m: int) -> dict[LaurentPoly, list[tuple[int, ...]]]:
+    """The start columns of S^(x)m of dominant total weight mu, in order, grouped by
+    sum_{nu in W mu} closure(nu), one orbit sum per distinct (doubled) weight."""
+    weights = {column: doubled_weight(column, n) for column in dominant_keys(m, n)}
+    sums = {wt: closure_orbit_sum(wt, m, n) for wt in set(weights.values())}
+    classes: dict[LaurentPoly, list] = {}
+    for column, wt in weights.items():
+        classes.setdefault(sums[wt], []).append(column)
+    return classes
 
 
 # -- packed coefficients ------------------------------------------------------------
@@ -304,14 +307,6 @@ def _raw_trace(braid: BraidWord, n: int) -> GradedScalar:
         return GradedScalar(0, hwblocks.block_trace(letters, n, m))
     crossings = [(i, _crossing_data(n, sign)[0]) for i, sign in letters]
     return GradedScalar(0, _packed_trace(crossings, _orbit_classes(n, m)))
-
-
-def _orbit_classes(n: int, m: int) -> dict[LaurentPoly, list]:
-    """The dominant start columns of S^(x)m grouped by orbit closure weight, in order."""
-    classes: dict[LaurentPoly, list] = {}
-    for column, w in _orbit_closure(n, m).items():
-        classes.setdefault(w, []).append(column)
-    return classes
 
 
 def _packed_trace(crossings: list, classes: dict) -> LaurentPoly:
@@ -450,7 +445,7 @@ def eval_spin(
 
 def _tuples(dim: int, m: int):
     """Every start column of S^(x)m, in lexicographic order.  No route lists
-    them any more (_orbit_closure builds the dominant ones directly); the
+    them any more (_orbit_classes builds the dominant ones directly); the
     benchmark's tracer still wraps this function."""
     return itertools.product(range(dim), repeat=m)
 

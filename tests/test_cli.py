@@ -379,6 +379,13 @@ class TestInputValidation:
         assert code == 2
         assert out == "" and err == "error: --colors takes comma-separated integers, got '1,x'\n"
 
+    @pytest.mark.parametrize("colors", ("1,,1", "1,1,", ",1,1"))
+    def test_colors_with_an_empty_entry(self, capsys, colors):
+        # an empty entry is not dropped: "1,,1" is not the two-colored "1,1"
+        code, out, err = run(capsys, "poly", "sln", "--N", "2", "--colors", colors, "--braid", "1")
+        assert code == 2
+        assert out == "" and err == f"error: --colors takes comma-separated integers, got {colors!r}\n"
+
     @pytest.mark.parametrize("name", ("x-1", ""), ids=("x-1", "empty"))
     def test_negative_x_index(self, capsys, name):
         code, out, err = run(capsys, "dump", name, "--n", "1")

@@ -293,24 +293,58 @@ class TestDividedPowers:
                     vec = {p: c for p, c in nxt.items() if c}
 
 
+def _row_sums(state, N):
+    return tuple(sum(u >> r & 1 for u in state) for r in range(N))
+
+
+def _all_dominant(a, N):
+    """The filtered product of all states of weight a: every tuple of columns
+    with column sums a whose row sums are non-increasing."""
+    columns = [[u for u in range(1 << N) if bin(u).count("1") == x] for x in a]
+    out = []
+    for cols in itertools.product(*columns):
+        nu = _row_sums(cols, N)
+        if all(x >= y for x, y in zip(nu, nu[1:])):
+            out.append(cols)
+    return out
+
+
+def _weighted_states(a, N):
+    return [(state, w) for w, states in schur._dominant_classes(a, N).items() for state in states]
+
+
 class TestWeightSpaceRoute:
-    def test_dominant_states(self):
+    def test_dominant_classes(self):
         for N in range(0, 6):
+            two_rho = tuple(range(N - 1, -N, -2))
             for m in (1, 2, 3):
                 for a in itertools.product(range(N + 1), repeat=m):
-                    states = schur._dominant_states(a, N)
-                    # the filtered product of all states of weight a
-                    want = []
-                    columns = [[u for u in range(1 << N) if bin(u).count("1") == x] for x in a]
-                    for cols in itertools.product(*columns):
-                        nu = [sum(col >> r & 1 for col in cols) for r in range(N)]
-                        if all(x >= y for x, y in zip(nu, nu[1:])):
-                            want.append(cols)
-                    assert sorted(s for s, _ in states) == sorted(want), (N, a)
+                    states = _weighted_states(a, N)
+                    assert sorted(s for s, _ in states) == sorted(_all_dominant(a, N)), (N, a)
+                    # each state in the class of the orbit sum of its row sums
+                    assert all(w == orbit_sum(_row_sums(s, N), two_rho, False) for s, w in states), (N, a)
                     # weighted with their orbit sums they give the base case
                     base = math.prod((qbinom(N, x) for x in a), start=LaurentPoly.one())
                     assert sum((w for _, w in states), LaurentPoly.zero()) == base, (N, a)
-        assert len(schur._dominant_states((4, 4, 4), 8)) == 1495
+        assert len(_weighted_states((4, 4, 4), 8)) == 1495
+        # uncached: the classes of 106,787 states are not kept for the rest of the run
+        assert sum(map(len, schur._dominant_classes.__wrapped__((4, 4, 4, 4), 8).values())) == 106787
+
+    def test_classes_are_built_once_per_input(self, monkeypatch):
+        # a second word at the same (a, N) enumerates no state
+        fresh = functools.lru_cache(maxsize=16)(schur._dominant_classes.__wrapped__)
+        monkeypatch.setattr(schur, "_dominant_classes", fresh)
+        calls, states = [], schur._states
+        monkeypatch.setattr(schur, "_states", lambda *args, **kwargs: calls.append(args) or states(*args, **kwargs))
+        eval_slN(parse_braid("1 2 3"), (1, 1, 1, 1), 3)
+        assert calls
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("states enumerated again")
+
+        monkeypatch.setattr(schur, "_states", refuse)
+        braid = parse_braid("1 -2 3 2")
+        assert eval_slN(braid, (1, 1, 1, 1), 3) == eval_slN_annular(braid, (1, 1, 1, 1), 3)
 
     def test_orbit_sum_equals_permutation_sum(self):
         # every row-size vector of a dominant state at N <= 6, against the
@@ -320,8 +354,8 @@ class TestWeightSpaceRoute:
             sizes = set()
             for m in (1, 2, 3):
                 for a in itertools.product(range(N + 1), repeat=m):
-                    for columns, _ in schur._dominant_states(a, N):
-                        sizes.add(tuple(sum(col >> r & 1 for col in columns) for r in range(N)))
+                    for columns, _ in _weighted_states(a, N):
+                        sizes.add(_row_sums(columns, N))
             for nu in sizes:
                 orbit = set(itertools.permutations(nu))
                 want = sum((LaurentPoly.q_pow(sum(map(operator.mul, two_rho, p))) for p in orbit), LaurentPoly.zero())
@@ -363,7 +397,7 @@ class TestWeightSpaceRoute:
 
     def test_operator_caches_are_bounded(self):
         caches = {name for name, fn in vars(schur).items() if hasattr(fn, "cache_info")}
-        assert {"_crossing", "_dominant_states", "orbit_sum", "_binom_merge"} <= caches
+        assert {"_crossing", "_dominant_classes", "orbit_sum", "_binom_merge"} <= caches
         for name in caches:
             assert getattr(schur, name).cache_info().maxsize is not None, name
         blocks = {name for name, fn in vars(slnblocks).items() if hasattr(fn, "cache_info")}
@@ -378,7 +412,7 @@ def _dict_kernel_pairing(braid, a, N):
     for i, sign in braid.letters:
         crossings.append((i, schur._crossing(N, cur[i - 1], cur[i], sign).__getitem__))
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
-    return weighted_trace(crossings, schur._dominant_states(a, N))
+    return weighted_trace(crossings, _weighted_states(a, N))
 
 
 def _balanced_colors(braid, rng, top):
@@ -524,38 +558,37 @@ class TestBlocks:
         starts = [r for r in range(len(lam)) if r == 0 or lam[r] != lam[r - 1]]
         return [range(a, b) for a, b in zip(starts, starts[1:] + [len(lam)])] or [range(0)]
 
-    @staticmethod
-    def _row_sums(state, N):
-        return tuple(sum(u >> r & 1 for u in state) for r in range(N))
-
     @classmethod
     def _expanded(cls, blocks, N, c, m):
         # each basis vector on every dominant state of its row sums, at q^swaps
         # times its value on the ordered state
-        states = [state for state, _ in schur._dominant_states((c,) * m, N)]
+        states = _all_dominant((c,) * m, N)
         out = []
         for den, basis in blocks.bases:
-            lam = cls._row_sums(basis[0][0], N)
+            lam = _row_sums(basis[0][0], N)
             keys = {state: slnblocks._run_sorted(state, cls._runs(lam)) for state in states
-                    if cls._row_sums(state, N) == lam}
+                    if _row_sums(state, N) == lam}
             out.append((den, [(f, {state: h[key].shift(2 * swaps) for state, (key, swaps) in keys.items() if key in h})
                               for f, h in basis]))
         return out
 
     def test_states_are_the_ordered_states_of_the_walk(self):
-        # the enumerated states against every dominant state: the ordered ones
-        # are the run-sorted states, the sources those in order but for rows r - 1, r
+        # the enumerated states against every dominant state of the filtered
+        # product: the ordered ones are the run-sorted states, the sources those
+        # in order but for rows r - 1, r
         for N in range(0, 8):
             for c, m in itertools.product(range(N + 1), (1, 2, 3)):
-                states = [state for state, _ in schur._dominant_states((c,) * m, N)]
+                by_lam = {}
+                for state in _all_dominant((c,) * m, N):
+                    by_lam.setdefault(_row_sums(state, N), []).append(state)
                 for lam in itertools.combinations_with_replacement(range(m, -1, -1), N):
                     runs = self._runs(lam)
-                    mine = [state for state in states if self._row_sums(state, N) == lam]
-                    ordered = slnblocks._states(lam, (c,) * m)
+                    mine = by_lam.get(lam, [])
+                    ordered = schur._states(lam, (c,) * m)
                     assert len(ordered) == len(set(ordered))
                     assert set(ordered) == {slnblocks._run_sorted(state, runs)[0] for state in mine}, (N, c, m, lam)
                     for r in [run.start for run in runs[1:]]:
-                        sources = slnblocks._states(lam, (c,) * m, (r - 1, r))
+                        sources = schur._states(lam, (c,) * m, (r - 1, r))
                         want = set()
                         for state in mine:
                             rows = [tuple(j for j, u in enumerate(state) if u >> t & 1) for t in range(N)]
@@ -570,8 +603,8 @@ class TestBlocks:
         def refuse(*args):
             raise AssertionError("dominant states walked")
 
-        monkeypatch.setattr(schur, "_dominant_states", refuse)
-        monkeypatch.setattr(slnblocks, "_dominant_states", refuse, raising=False)
+        monkeypatch.setattr(schur, "_dominant_classes", refuse)
+        monkeypatch.setattr(slnblocks, "_dominant_classes", refuse, raising=False)
         monkeypatch.setattr(slnblocks, "_blocks", functools.lru_cache(maxsize=8)(slnblocks._Blocks))
         value = slnblocks.block_pairing(parse_braid("1 2 1 2", 3), (5, 5, 5), 10)
         assert hashlib.sha256(repr(sorted(value.c.items())).encode()).hexdigest()[:16] == "f3f321d9747ca4fa"

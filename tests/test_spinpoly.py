@@ -1,5 +1,6 @@
 """Tests for braid parsing, spin polynomial evaluation, and Markov moves."""
 
+import functools
 import itertools
 import math
 import random
@@ -18,7 +19,7 @@ from spinlink.spinpoly import (
     BraidParseError,
     BraidWord,
     _crossing_data,
-    _orbit_closure,
+    _orbit_classes,
     _raw_trace,
     eval_spin,
     parse_braid,
@@ -229,9 +230,29 @@ class TestWeylOrbitReduction:
     @pytest.mark.parametrize(
         "n, m", list(itertools.product((1, 2, 3), (1, 2, 3))) + [(4, 2), (4, 3), (5, 2), (6, 2)]
     )
-    def test_orbit_closure_equals_brute_force_sum(self, n, m):
-        got, want = _orbit_closure(n, m), _brute_force_orbit_closure(n, m)
-        assert got == want and list(got) == list(want)  # same columns, same order
+    def test_orbit_classes_equal_brute_force_sum(self, n, m):
+        columns, want = _brute_force_orbit_closure(n, m), {}
+        for column, w in columns.items():
+            want.setdefault(w, []).append(column)
+        got = _orbit_classes(n, m)
+        assert got == want and list(got) == list(want)  # same classes, same columns, same order
+        assert sorted(c for cols in got.values() for c in cols) == list(columns)
+
+    def test_classes_are_built_once_per_input(self, monkeypatch):
+        # a second word at the same (n, m) enumerates no dominant column
+        fresh = functools.lru_cache(maxsize=16)(_orbit_classes.__wrapped__)
+        monkeypatch.setattr(spinpoly, "_orbit_classes", fresh)
+        calls, keys = [], spinpoly.dominant_keys
+        monkeypatch.setattr(spinpoly, "dominant_keys", lambda *args: calls.append(args) or keys(*args))
+        eval_spin(parse_braid("1 2 3"), 1)
+        assert calls
+
+        def refuse(*args):
+            raise AssertionError("dominant columns enumerated again")
+
+        monkeypatch.setattr(spinpoly, "dominant_keys", refuse)
+        braid = parse_braid("1 -2 3 2")
+        assert eval_spin(braid, 1) == kauffman_bracket(braid)  # (D1): the rank-one raw trace is the state sum
 
     @pytest.mark.parametrize("n, m", ((1, 3), (2, 3), (3, 3), (2, 4)))
     def test_raw_trace_equals_all_column_sum(self, n, m):
@@ -486,7 +507,7 @@ class TestProductionRoute:
 
     def test_caches_are_bounded(self):
         caches = {name for name, fn in vars(spinpoly).items() if hasattr(fn, "cache_info")}
-        assert {"_x_family", "_crossing_data", "_orbit_closure"} <= caches
+        assert {"_x_family", "_crossing_data", "_orbit_classes"} <= caches
         for name in caches:
             assert getattr(spinpoly, name).cache_info().maxsize is not None, name
 

@@ -4,15 +4,20 @@ runs check every value against a stored reference.
 A renamed or deleted function makes `perfbench/tracer.py`'s `install` raise,
 which breaks every traced benchmark run; these tests catch that in tier-1,
 and a changed value of the spin matrix or the sl_N route on either pool of words.
+The last test checks that every module-level cache of spinlink is bounded.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import spinlink
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +77,17 @@ def test_the_benchmark_checks_the_spin_matrix_route(pool):
 @pytest.mark.parametrize("pool", ("default", "heldout"))
 def test_the_benchmark_checks_the_sln_route(pool):
     _check_pool("sln-annular", pool)
+
+
+def test_every_module_cache_is_bounded():
+    # every module-level lru_cache of every spinlink module has a size bound,
+    # found by import, so a renamed or new cache needs no list of names here
+    caches, unbounded = 0, []
+    for info in pkgutil.iter_modules(spinlink.__path__):
+        module = importlib.import_module(f"spinlink.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                caches += 1
+                if value.cache_info().maxsize is None:
+                    unbounded.append(f"{info.name}.{name}")
+    assert caches and not unbounded, unbounded
