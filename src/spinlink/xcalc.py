@@ -17,24 +17,29 @@ partial trace, the spectral idempotents of H, and a battery of exact
 matrix identities including the three-strand relation tables and the
 trace/rotation rules, compared on dominant weight columns only
 (rep.dominant_keys); partial traces weight each closed strand with
-rep.closure_weight.  Each isotypic rank is the trace of a spectral
-idempotent, since over a field of characteristic 0 the rank of an
-idempotent equals its trace.  iqsym is imported only inside the functions
+rep.closure_weight.  The relation table and the two Serre relations are
+not multiplied out as operators: each dominant column of S^(x)3 is pushed
+through the words of both sides on packed ints by spinpoly's crossing
+kernel (_PackedIdentities), and the sides are compared as ints.  Each
+isotypic rank is the trace of a spectral idempotent, since over a field of
+characteristic 0 the rank of an idempotent equals its trace.  iqsym is imported only inside the functions
 that read its tables, so the spin matrix route never loads it.
 
 Every operator is a rep.LinOp, Laurent entries over one canonical
 denominator.  X^(k) and the braidings have denominator 1, so the X
-recursion, the braiding and the relation battery multiply and add Laurent
-polynomials only; H carries 1/[2] and the spectral idempotents their
+recursion, the braiding and the trace and rotation rules multiply and add
+Laurent polynomials only; H carries 1/[2] and the spectral idempotents their
 eigenvalue-gap denominators, which are reduced once per operator.
 """
 
 from __future__ import annotations
 
-from . import clifford
-from .qalg import LaurentPoly, RatFunc, binom2, d_value, devil, devil_ratio, qint, report_entry
+from math import gcd
+
+from . import clifford, spinpoly
+from .qalg import LaurentPoly, RatFunc, _pack, _slot_bits, binom2, d_value, devil, devil_ratio, qint, report_entry
 from .rep import (
-    LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, subset_iter,
+    LinOp, S_SIG, cap_n, closure_weight, cup_n, dominant_keys, doubled_weight, is_intertwiner, sig_keys, subset_iter,
 )
 
 _ONE = LaurentPoly.one()
@@ -336,6 +341,113 @@ def rotate(op: LinOp, keys) -> LinOp:
     return _product_on(keys, (cap_n(n), 0, 2), (op, 1, 1), (cup_n(n), 2, 0))
 
 
+class _PackedIdentities:
+    """Identities lhs = rhs between operators on S^(x)3, checked on packed
+    column images.  A side is a list of (coefficient, word), a word a tuple of
+    letters (i, name), the leftmost acting last; a letter puts ops[name], a
+    nonzero endomorphism of S (x) S with denominator 1, on strands i, i+1;
+    another denominator raises ValueError.  Coefficients must be nonzero.
+
+    Each operator is a spinpoly.Crossing with an explicit empty image for
+    every zero column, and spinpoly._step pushes a start column through a word
+    on ints packed at v^step = 2^bits (qalg._pack).  step is the gcd of every
+    exponent's distance to the lowest one it is packed from, so an odd
+    exponent packs at step 1, never at a wrong alignment.  bits is _slot_bits
+    of a majorant of every coefficient of either side: the largest column l1
+    norm of an operator to the power of the word length times the
+    coefficient's l1 norm, summed over both sides (the l1 norm of polynomials
+    is submultiplicative).  An identity is kept as lhs minus rhs, every term
+    packed from the identity's lowest exponent, and holds on a column if its
+    terms sum to the int 0 at every output state; nothing is unpacked.  A
+    word's image is one step from its suffix's, computed once per start
+    column, and only the current column's images are kept."""
+
+    def __init__(self, ops: dict, identities: list):
+        crossings = {}
+        for name, op in ops.items():
+            if not op.den.is_one():
+                raise ValueError(f"the operator {name} has denominator {op.den}, not 1")
+            crossings[name] = spinpoly.Crossing({pair: op.cols.get(pair, {}) for pair in sig_keys(op.dom, op.n)})
+        colnorm = max(sum(c.norms[pair].values()) for c in crossings.values() for pair in c)
+        terms = [[(c, w, sum(crossings[name].low for _, name in w)) for c, w in lhs + [(-c, w) for c, w in rhs]]
+                 for lhs, rhs in identities]
+        lows = [min(min(c.c) + base for c, _, base in t) for t in terms]
+        shifts = [e + base - low for t, low in zip(terms, lows) for c, _, base in t for e in c.c]
+        shifts += [e - c.low for c in crossings.values() for image in c.values() for p in image.values() for e in p.c]
+        bound = max(sum(sum(map(abs, c.c.values())) * colnorm ** len(w) for c, w, _ in t) for t in terms)
+        step, bits = gcd(*shifts), _slot_bits(bound)
+        self.step, self.bits = step, bits
+        self.tables = {name: spinpoly._Table(c, lambda p, low=c.low: _pack(p, low, step, bits))
+                       for name, c in crossings.items()}
+        self.terms = [[(_pack(c, low - base, step, bits), w) for c, w, base in t] for t, low in zip(terms, lows)]
+
+    def image(self, word: tuple, images: dict) -> dict:
+        """The packed image {state: int} of a start column under a word, from
+        images, which maps () to the column and keeps every image computed."""
+        vec = images.get(word)
+        if vec is None:
+            i, name = word[0]
+            vec = images[word] = spinpoly._step(self.image(word[1:], images), i, self.tables[name])
+        return vec
+
+    def holds(self, columns) -> list[bool]:
+        """Per identity, whether it holds on every start column."""
+        ok = [True] * len(self.terms)
+        for column in columns:
+            images = {(): {column: 1}}
+            for t, terms in enumerate(self.terms):
+                if ok[t]:
+                    acc: dict = {}
+                    get = acc.get
+                    for c, word in terms:
+                        for state, x in self.image(word, images).items():
+                            acc[state] = get(state, 0) + c * x
+                    ok[t] = not any(acc.values())
+        return ok
+
+
+def _serre_identities(n: int, fam: XFamily, table: dict) -> tuple[dict, dict]:
+    """The operators and identities of three checks, as _PackedIdentities reads
+    them, the identities keyed (check, label) in this order:
+    ("gk-serre-for-h", None); each row of the relation table, sorted, with its
+    outer letters on strands 1, 2 (outer 1) and then 2, 3 (outer 2), as
+    ("three-strand-relation-table", ((a, b, c), outer)); and ("devils-serre",
+    outer), the (1, 1, 1) row spelled out.  A letter (i, k) is X^(k) on
+    strands i, i+1, and X^(k) for k > n is zero: a row or a term that uses
+    one is left out.  The gk-Serre relation
+    H2 H1 H1 + H1 H1 H2 = -"[2]^2" H1 H2 H1 + H2 is multiplied by [2]^3, so
+    its letters (i, "h") are [2]H, which has denominator 1."""
+    two = qint(2)
+    ops = {k: fam[k] for k in range(n + 1)}
+    ops["h"] = fam.h.scale(two)
+    g1, g2 = (1, "h"), (2, "h")
+    identities = {
+        ("gk-serre-for-h", None): (
+            [(_ONE, (g2, g1, g1)), (_ONE, (g1, g1, g2))],
+            [(-devil(2, 2), (g1, g2, g1)), (two * two, (g2,))],
+        )
+    }
+    for outer in (1, 2):
+        strand = {"O": outer, "M": 3 - outer}
+        for (a, b, c), terms in sorted(table.items()):
+            if max(a, b, c) <= n:
+                lhs = [(_ONE, ((outer, a), (3 - outer, b), (outer, c)))]
+                rhs = [(coeff, tuple((strand[sym], p) for sym, p in word))
+                       for coeff, word in terms if all(p <= n for _, p in word)]
+                identities["three-strand-relation-table", ((a, b, c), outer)] = (lhs, rhs)
+    for outer in (1, 2):
+        o1, m1, o2 = (outer, 1), (3 - outer, 1), (outer, 2)
+        rhs = [(_ONE, (o2, m1)), (_ONE, (m1, o2)), (two, (o2,))] if n >= 2 else []
+        identities["devils-serre", outer] = ([(_ONE, (o1, m1, o1))], rhs + [(_ONE, (o1,))])
+    return ops, identities
+
+
+def _serre_battery(n: int, fam: XFamily, table: dict) -> dict:
+    """The verdicts of _serre_identities on the dominant columns of S^(x)3, by key."""
+    ops, identities = _serre_identities(n, fam, table)
+    return dict(zip(identities, _PackedIdentities(ops, list(identities.values())).holds(dominant_keys(3, n))))
+
+
 def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> list[dict]:
     """Exact verification on S^(x)3 of the three-strand relation tables, the
     Serre-type relations, the trace rule, and the rotation rule.
@@ -358,9 +470,13 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
     rep.is_intertwiner; if one fails, every dominant-column entry fails with
     a witness such as "H is not an intertwiner".
 
-    The relation table is walked in sorted (a, b, c) order, so rows that
-    share the left-hand prefix X^(a) X^(b) follow each other and the prefix
-    product is computed once per (a, b); only the current prefix is kept.
+    The gk-Serre relation, the relation table and the devil's Serre relation
+    are one battery of identities (_serre_identities), checked on packed
+    column images (_PackedIdentities): each dominant column is pushed through
+    every word once, from the image of the word's suffix, and only the
+    current column's images are kept.  The table's witness is the last
+    failing (row, outer) with the table walked in sorted (a, b, c) order,
+    outer 1 first.
 
     With probe=True (intended for n = 4) only the conjecture probes run:
     the trace rule for every k and the rotation rule, reported with
@@ -422,65 +538,10 @@ def relation_suite(n: int, probe: bool = False, fam: XFamily | None = None) -> l
     rinv = braiding(n, fam, -1)
     entry("braiding-times-inverse", (r @ rinv) == LinOp.identity(("S", "S"), n) == (rinv @ r))
 
-    # Serre-type relations on three strands, in H-form and X-form, on the
-    # dominant columns of S^(x)3
-    dominant = dominant_keys(3, n)
-
-    def on_strands(op, left):
-        return op.embed(left, 1 - left, dominant)
-
-    h1, h2 = on_strands(fam.h, 0), on_strands(fam.h, 1)
-    two_q2 = devil(2, 2)
-    lhs = (h2 @ h1 @ h1) + (h1 @ h1 @ h2)
-    rhs = (h1 @ h2 @ h1).scale(-two_q2) + h2
-    restricted("gk-serre-for-h", lhs == rhs)
-
-    x1 = [on_strands(fam[k], 0) for k in range(n + 1)]
-    x2 = [on_strands(fam[k], 1) for k in range(n + 1)]
-    zero3 = LinOp.zero(("S",) * 3, ("S",) * 3, n)
-
-    def emb(outer):
-        def op_of(sym, p):
-            if p > n:
-                return None
-            return (x1 if sym == "O" else x2)[p] if outer == 1 else (x2 if sym == "O" else x1)[p]
-
-        return op_of
-
-    ok_all, witness = True, None
-    for outer in (1, 2):
-        op_of = emb(outer)
-        prefix_key, prefix = None, None
-        for (a, b, c), rhs_terms in sorted(relation_table(n).items()):
-            lo, lm = op_of("O", a), op_of("M", b)
-            lc = op_of("O", c)
-            if lo is None or lm is None or lc is None:
-                continue
-            if prefix_key != (a, b):
-                prefix_key, prefix = (a, b), lo @ lm
-            lhs = prefix @ lc
-            rhs = zero3
-            for coeff, word in rhs_terms:
-                ops = [op_of(sym, p) for sym, p in word]
-                if any(o is None for o in ops):
-                    continue
-                term = ops[0]
-                for o in ops[1:]:
-                    term = term @ o
-                rhs = rhs + term.scale(coeff)
-            if lhs != rhs:
-                ok_all, witness = False, f"pattern {(a, b, c)} outer={outer}"
-    restricted("three-strand-relation-table", ok_all, witness)
-
-    # devil's Serre relation spelled out (the (1,1,1) row, both embeddings)
-    ok = True
-    for outer, middle in ((x1, x2), (x2, x1)):
-        lhs = outer[1] @ middle[1] @ outer[1]
-        rhs = zero3
-        if n >= 2:
-            rhs = (outer[2] @ middle[1]) + (middle[1] @ outer[2]) + outer[2].scale(qint(2))
-        rhs = rhs + outer[1]
-        if lhs != rhs:
-            ok = False
-    restricted("devils-serre", ok)
+    # the Serre-type relations and the relation table, on packed dominant columns
+    verdicts = _serre_battery(n, fam, relation_table(n))
+    restricted("gk-serre-for-h", verdicts["gk-serre-for-h", None])
+    failed = [label for (name, label), ok in verdicts.items() if name == "three-strand-relation-table" and not ok]
+    restricted("three-strand-relation-table", not failed, "pattern {} outer={}".format(*failed[-1]) if failed else None)
+    restricted("devils-serre", verdicts["devils-serre", 1] and verdicts["devils-serre", 2])
     return report

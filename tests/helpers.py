@@ -8,6 +8,9 @@ The exponent-dict trace kernel is the oracle of the packed kernel
 (spinpoly._step, _diagonal, _packed_trace) that the type A route and the spin
 route on four or more strands run.
 
+linop_serre_battery checks the relation table and the two Serre relations
+by LinOp products, the oracle of xcalc's packed battery.
+
 The block reader (hw_spaces, crossing_blocks, block_trace_from_crossings) is
 the oracle of hwblocks: it finds each highest-weight space by elimination
 (slnblocks.hw_kernel, which the type A blocks run in production) and reads a
@@ -25,7 +28,7 @@ from functools import lru_cache
 from spinlink import iqsym, qalg
 from spinlink.hwblocks import _qdim
 from spinlink.iqsym import AlgElement
-from spinlink.qalg import GradedScalar, LaurentPoly, report_entry
+from spinlink.qalg import GradedScalar, LaurentPoly, devil, qint, report_entry
 from spinlink.rep import LinOp, dominant_keys, doubled_weight, sig_keys
 from spinlink.slnblocks import hw_kernel
 from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
@@ -271,3 +274,50 @@ def block_trace_from_crossings(crossings: list, n: int, m: int) -> LaurentPoly:
             prod = [[sum((x * y for x, y in zip(row, col)), LaurentPoly.zero()) for col in cols] for row in prod]
         total = total + q * sum((row[r] for r, row in enumerate(prod)), LaurentPoly.zero())
     return total
+
+
+def linop_serre_battery(n: int, fam, table) -> dict:
+    """The verdicts of xcalc._serre_battery, by the same keys, from LinOp
+    products of the embedded factors on the dominant columns of S^(x)3: the
+    gk-Serre relation for H, each row of the relation table with its outer
+    letters on strands 1, 2 (outer 1) or 2, 3 (outer 2), and the devil's Serre
+    relation on either pair.  X^(k) for k > n is zero, and a row or term that
+    uses one is left out.  This is how relation_suite compared them before
+    the packed battery; it is kept as that battery's oracle."""
+    dominant = dominant_keys(3, n)
+
+    def on_strands(op, left):
+        return op.embed(left, 1 - left, dominant)
+
+    def product(ops):
+        out = ops[0]
+        for op in ops[1:]:
+            out = out @ op
+        return out
+
+    verdicts = {}
+    h1, h2 = on_strands(fam.h, 0), on_strands(fam.h, 1)
+    lhs = (h2 @ h1 @ h1) + (h1 @ h1 @ h2)
+    verdicts["gk-serre-for-h", None] = lhs == (h1 @ h2 @ h1).scale(-devil(2, 2)) + h2
+
+    x1 = [on_strands(fam[k], 0) for k in range(n + 1)]
+    x2 = [on_strands(fam[k], 1) for k in range(n + 1)]
+    zero3 = LinOp.zero(("S",) * 3, ("S",) * 3, n)
+    for outer in (1, 2):
+        letters = {"O": x1 if outer == 1 else x2, "M": x2 if outer == 1 else x1}
+        for (a, b, c), terms in sorted(table.items()):
+            if max(a, b, c) > n:
+                continue
+            rhs = zero3
+            for coeff, word in terms:
+                if all(p <= n for _, p in word):
+                    rhs = rhs + product([letters[sym][p] for sym, p in word]).scale(coeff)
+            lhs = product([letters["O"][a], letters["M"][b], letters["O"][c]])
+            verdicts["three-strand-relation-table", ((a, b, c), outer)] = lhs == rhs
+
+    for outer, (o, m) in ((1, (x1, x2)), (2, (x2, x1))):
+        rhs = o[1]
+        if n >= 2:
+            rhs = (o[2] @ m[1]) + (m[1] @ o[2]) + o[2].scale(qint(2)) + rhs
+        verdicts["devils-serre", outer] = o[1] @ m[1] @ o[1] == rhs
+    return verdicts

@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
-from helpers import r_on_strands
+from helpers import crossing_step, linop_serre_battery, r_on_strands
+from spinlink import spinpoly, xcalc
 from spinlink.iqsym import relation_table, trace_rule_coeff
-from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, binom2, devil, poly_divexact, poly_gcd, qint
+from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, _unpack, binom2, devil, poly_divexact, poly_gcd, qint
 from spinlink.clifford import wenzl_C
 from spinlink.rep import H, LinOp, S_SIG, cap_n, circle_value, coproduct_action, cup_n, dominant_keys, sig_keys
 from spinlink.xcalc import (
@@ -345,14 +346,15 @@ class TestRelationSuite:
     @staticmethod
     def _in_full(monkeypatch):
         """Materialize every factor in full, whatever columns the suite asks
-        for: the full-operator comparison that the dominant-column lemma
-        replaces."""
+        for, and push every column of S^(x)3 through the packed battery: the
+        full-operator comparison that the dominant-column lemma replaces."""
         embed = LinOp.embed
 
         def in_full(op, left, right, keys):
             return embed(op, left, right, sig_keys(("S",) * (left + len(op.dom) + right), op.n))
 
         monkeypatch.setattr(LinOp, "embed", in_full)
+        monkeypatch.setattr(xcalc, "dominant_keys", lambda m, n: list(sig_keys(("S",) * m, n)))
 
     @pytest.mark.parametrize("n", (1, 2))
     @pytest.mark.parametrize("probe", (False, True))
@@ -386,21 +388,80 @@ class TestRelationSuite:
         assert failed == {e["identity_id"] for e in report} & checked
         assert all(e["witness"] == "H is not an intertwiner" for e in report if e["status"] == "fail")
 
-    def test_shared_prefixes_bound_the_products(self, monkeypatch):
-        # the gk-Serre, relation-table and devil's Serre products: the ones
-        # whose right factor lives on the dominant columns of S^(x)3
-        dominant = set(dominant_keys(3, 3))
+    def test_shared_suffixes_bound_the_steps(self, monkeypatch):
+        # the gk-Serre, relation-table and devil's Serre checks push the 40
+        # dominant columns of S^(x)3 through spinpoly._step; each word's image
+        # is one step from the image of its suffix, computed once per column
         calls = []
-        matmul = LinOp.__matmul__
-
-        def counted(a, b):
-            if len(b.dom) == 3 and set(b.cols) <= dominant:
-                calls.append(1)
-            return matmul(a, b)
-
-        monkeypatch.setattr(LinOp, "__matmul__", counted)
+        step = spinpoly._step
+        monkeypatch.setattr(spinpoly, "_step", lambda *args: calls.append(1) or step(*args))
         relation_suite(3)
-        assert 0 < len(calls) <= 182  # 218 with one left-hand product per table row
+        assert 0 < len(calls) <= 3440  # 4160 if only suffixes of at most two letters were kept
+
+
+class TestPackedBattery:
+    """xcalc's packed battery (_serre_identities, _PackedIdentities) against
+    the LinOp products it replaced (helpers.linop_serre_battery)."""
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_verdicts_equal_the_linop_oracle(self, families, n):
+        table = relation_table(n)
+        packed = xcalc._serre_battery(n, families[n], table)
+        assert packed == linop_serre_battery(n, families[n], table)
+        assert all(packed.values())
+        rows = {label for name, label in packed if name == "three-strand-relation-table"}
+        assert rows == {(row, outer) for row in table for outer in (1, 2)}
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_each_perturbed_row_fails_both_ways(self, families, n):
+        for row, ((coeff, word), *rest) in relation_table(n).items():
+            table = {row: [(coeff + LaurentPoly.q_pow(1), word), *rest]}
+            packed = xcalc._serre_battery(n, families[n], table)
+            assert packed == linop_serre_battery(n, families[n], table)
+            for outer in (1, 2):
+                assert packed["three-strand-relation-table", (row, outer)] is False, (row, outer)
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_the_width_decodes_every_image(self, families, n):
+        ops, identities = xcalc._serre_identities(n, families[n], relation_table(n))
+        battery = xcalc._PackedIdentities(ops, list(identities.values()))
+        assert battery.step == 2  # every exponent is even at n <= 3
+        words = {word for lhs, rhs in identities.values() for _, word in lhs + rhs}
+        for column in dominant_keys(3, n):
+            images = {(): {column: 1}}
+            for word in words:
+                exact = {column: {0: 1}}
+                for i, name in reversed(word):
+                    exact = crossing_step(exact, i, ops[name].cols.get)
+                offset = sum(battery.tables[name].crossing.low for _, name in word)
+                decoded = {state: _unpack(x, battery.bits, offset, battery.step)
+                           for state, x in battery.image(word, images).items() if x}
+                assert decoded == {state: LaurentPoly(c) for state, c in exact.items()}, (column, word)
+
+    def test_an_odd_exponent_is_packed_at_step_one(self, monkeypatch):
+        from spinlink import iqsym
+
+        table = dict(relation_table(2))  # the table is cached: change a copy
+        (coeff, word), *rest = table[(1, 1, 1)]
+        table[(1, 1, 1)] = [(coeff + LaurentPoly.v_pow(1), word), *rest]
+        monkeypatch.setattr(iqsym, "relation_table", lambda n: table)
+        report = {e["identity_id"]: e for e in relation_suite(2)}
+        entry = report.pop("three-strand-relation-table")
+        assert entry["status"] == "fail" and entry["witness"] == "pattern (1, 1, 1) outer=2"
+        assert all(e["status"] == "pass" for e in report.values())
+
+        # v X = q X is false and (v + q) X = v X + q X is true, whatever the
+        # alignment of the two exponents' parities
+        x, v, q = (1, 1), LaurentPoly.v_pow(1), LaurentPoly.q_pow(1)
+        battery = xcalc._PackedIdentities({1: build_X(2, check_product_route=False)[1]}, [
+            ([(v, (x,))], [(q, (x,))]),
+            ([(v + q, (x,))], [(v, (x,)), (q, (x,))]),
+        ])
+        assert battery.step == 1 and battery.holds(dominant_keys(3, 2)) == [False, True]
+
+    def test_a_denominator_is_refused(self, families):
+        with pytest.raises(ValueError, match="denominator"):
+            xcalc._PackedIdentities({"h": families[2].h}, [([(LaurentPoly.one(), ((1, "h"),))], [])])
 
 
 def _laurent_op(seed: int) -> LinOp:
