@@ -8,8 +8,10 @@ The exponent-dict trace kernel is the oracle of the packed kernel
 (spinpoly._step, _diagonal, _packed_trace) that the type A route and the spin
 route on four or more strands run.
 
-linop_serre_battery checks the relation table and the two Serre relations
-by LinOp products, the oracle of xcalc's packed battery.
+linop_serre_battery checks the relation table and the two Serre relations,
+linop_change_of_basis the spectral-basis identities and linop_trace_rule
+the trace rule, all by LinOp products: the oracles of xcalc's packed
+identities (_PackedIdentities).
 
 The block reader (hw_spaces, crossing_blocks, block_trace_from_crossings) is
 the oracle of hwblocks: it finds each highest-weight space by elimination
@@ -24,12 +26,13 @@ are accumulated in place, and a LaurentPoly is built only for the diagonal.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from spinlink import iqsym, qalg
+from spinlink import iqsym, qalg, xcalc
 from spinlink.hwblocks import _qdim
 from spinlink.iqsym import AlgElement
-from spinlink.qalg import GradedScalar, LaurentPoly, devil, qint, report_entry
-from spinlink.rep import LinOp, dominant_keys, doubled_weight, sig_keys
+from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, devil, qint, report_entry
+from spinlink.rep import LinOp, S_SIG, dominant_keys, doubled_weight, sig_keys, subset_iter
 from spinlink.slnblocks import hw_kernel
 from spinlink.spinpoly import BraidWord, eval_spin, stabilization_factor, sweep_raw_traces
 from spinlink.xcalc import braiding
@@ -321,3 +324,98 @@ def linop_serre_battery(n: int, fam, table) -> dict:
             rhs = (o[2] @ m[1]) + (m[1] @ o[2]) + o[2].scale(qint(2)) + rhs
         verdicts["devils-serre", outer] = o[1] @ m[1] @ o[1] == rhs
     return verdicts
+
+
+def linop_change_of_basis(n: int, fam) -> list[dict]:
+    """The report of xcalc.change_of_basis_check(n, fam), from LinOp products
+    of the projectors and of I^(i) = c_i P_i: how change_of_basis_check
+    compared them before the packed identities, kept as their oracle.
+    xcalc's spectral_basis and coefficients are read at call time, so a
+    perturbed one reaches both routes."""
+    report = []
+
+    def entry(name, ok, witness=None):
+        report.append(report_entry(name, {"n": n}, ok, witness))
+
+    spec = xcalc.spectral_basis(n, fam)
+    idSS = LinOp.identity(("S", "S"), n)
+    all_projs = spec.projectors + [spec.residual]
+    total = LinOp.zero(("S", "S"), ("S", "S"), n)
+    ok = True
+    zero = LinOp.zero(("S", "S"), ("S", "S"), n)
+    idempotent = []
+    for a, pa in enumerate(all_projs):
+        total = total + pa
+        for b, pb in enumerate(all_projs):
+            same = (pa @ pb) == (pa if a == b else zero)
+            if a == b:
+                idempotent.append(same)
+            ok = ok and same
+    entry("projector-orthogonality", ok and total == idSS)
+
+    ok = True
+    i_ops = [spec.projectors[i].scale(xcalc.i_scalar(n, i)) for i in range(n)] + [idSS]
+    for i in range(n):
+        for j in range(n):
+            prod = i_ops[i] @ i_ops[j]
+            if i != j:
+                ok = ok and prod.is_zero()
+            else:
+                ok = ok and prod == i_ops[i].scale(xcalc.i_scalar(n, i))
+    entry("bigon-composition", ok)
+
+    witness = None
+    ok = True
+    for i in range(1, n + 1):
+        total = LinOp.zero(("S", "S"), ("S", "S"), n)
+        for l in range(i, n + 1):
+            total = total + i_ops[n - l].scale(xcalc.lambda_coeff(n, i, l))
+        if total != fam[i]:
+            ok, witness = False, f"X^({i})"
+        if xcalc.lambda_coeff(n, i, i) != RatFunc.one():
+            ok, witness = False, f"lambda(n-{i}) != 1"
+    entry("i-to-x-change-of-basis", ok, witness)
+
+    entry("x-top-is-bigon", fam[n] == i_ops[0])
+
+    r = braiding(n, fam)
+    total = idSS.scale(LaurentPoly.v_pow(n))
+    for i in range(1, n + 1):
+        total = total + i_ops[n - i].scale(xcalc.braid_i_coeff(n, i))
+    entry("braiding-in-i-basis", total == r)
+
+    ok, witness = True, None
+    sizes = [comb(2 * n + 1, i) for i in range(n)]
+    sizes.append(4**n - sum(sizes))
+    for i, (p, want, idem) in enumerate(zip(all_projs, sizes, idempotent)):
+        label = i if i < n else "residual"
+        if not idem:
+            ok, witness = False, f"projector {label} is not idempotent"
+        elif (got := xcalc.rank_of(p)) != want:
+            ok, witness = False, (label, got, want)
+    entry("isotypic-ranks", ok, witness)
+    return report
+
+
+def linop_trace_rule(n: int, fam, three: bool) -> tuple:
+    """xcalc._trace_rule(n, fam, three), the verdict and witness, with the
+    m = 3 rule taken as ptrace of the LinOp product X^(k)_2 X^(j)_1 on the
+    columns (a, b, B), (a, b) a dominant pair and B any closing state: how
+    relation_suite compared it before the closed column identities, kept as
+    their oracle."""
+    pairs = dominant_keys(2, n)
+    closed = [p + (B,) for p in pairs for B in subset_iter(n)]
+    idS = LinOp.identity(S_SIG, n)
+    ok_all = True
+    witness = None
+    for k in range(n + 1):
+        coeff = iqsym.trace_rule_coeff(n, k)
+        if xcalc.ptrace(fam[k]) != idS.scale(coeff):
+            ok_all, witness = False, f"m=2, k={k}"
+        if three:
+            for j in range(n + 1):
+                lhs = xcalc.ptrace(xcalc._product_on(closed, (fam[k], 1, 0), (fam[j], 0, 1)))
+                if lhs != fam[j].embed(0, 0, pairs).scale(coeff):
+                    ok_all, witness = False, f"m=3, k={k}, j={j}"
+                    break
+    return ok_all, witness

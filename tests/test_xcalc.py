@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from helpers import crossing_step, linop_serre_battery, r_on_strands
+from helpers import crossing_step, linop_change_of_basis, linop_serre_battery, linop_trace_rule, r_on_strands
 from spinlink import spinpoly, xcalc
 from spinlink.iqsym import relation_table, trace_rule_coeff
 from spinlink.qalg import GradedScalar, LaurentPoly, RatFunc, _unpack, binom2, devil, poly_divexact, poly_gcd, qint
@@ -388,14 +388,14 @@ class TestRelationSuite:
         assert failed == {e["identity_id"] for e in report} & checked
         assert all(e["witness"] == "H is not an intertwiner" for e in report if e["status"] == "fail")
 
-    def test_shared_suffixes_bound_the_steps(self, monkeypatch):
+    def test_shared_suffixes_bound_the_steps(self, monkeypatch, families):
         # the gk-Serre, relation-table and devil's Serre checks push the 40
         # dominant columns of S^(x)3 through spinpoly._step; each word's image
         # is one step from the image of its suffix, computed once per column
         calls = []
         step = spinpoly._step
         monkeypatch.setattr(spinpoly, "_step", lambda *args: calls.append(1) or step(*args))
-        relation_suite(3)
+        xcalc._serre_battery(3, families[3], relation_table(3))
         assert 0 < len(calls) <= 3440  # 4160 if only suffixes of at most two letters were kept
 
 
@@ -462,6 +462,139 @@ class TestPackedBattery:
     def test_a_denominator_is_refused(self, families):
         with pytest.raises(ValueError, match="denominator"):
             xcalc._PackedIdentities({"h": families[2].h}, [([(LaurentPoly.one(), ((1, "h"),))], [])])
+
+    def test_a_letter_outside_its_start_is_refused(self, families):
+        one, x = LaurentPoly.one(), families[2][1]
+        battery = xcalc._PackedIdentities({1: x}, [([(one, ((2, 1),))], [])])
+        with pytest.raises(ValueError, match=r"the letter \(2, 1\) acts outside the 2 strands of its start"):
+            battery.holds(sig_keys(("S", "S"), 2))
+        assert battery.holds(dominant_keys(3, 2)) == [False]  # X^(1) on strands 2, 3 is not zero
+        # a closed term's start has one more strand than its column
+        closed = xcalc._PackedIdentities({1: x}, [([(one, ((2, 1),), (0,))], [])])
+        assert closed.holds(sig_keys(("S", "S"), 2)) == [False]
+
+
+def _counted_steps(monkeypatch) -> list:
+    """A list that grows by one at each spinpoly._step."""
+    calls = []
+    step = spinpoly._step
+    monkeypatch.setattr(spinpoly, "_step", lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
+def _counted_products(monkeypatch) -> dict:
+    """Counts of LinOp products made inside xcalc.spectral_basis and outside it."""
+    counts = {"inside": 0, "outside": 0}
+    matmul, spectral = LinOp.__matmul__, xcalc.spectral_basis
+    inside = []
+
+    def counted(a, b):
+        counts["inside" if inside else "outside"] += 1
+        return matmul(a, b)
+
+    def spectral_basis(n, fam=None):
+        inside.append(1)
+        try:
+            return spectral(n, fam)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LinOp, "__matmul__", counted)
+    monkeypatch.setattr(xcalc, "spectral_basis", spectral_basis)
+    return counts
+
+
+class TestPackedChangeOfBasis:
+    """change_of_basis_check's identities on packed columns of S (x) S
+    (_spectral_identities) against the LinOp products they replaced
+    (helpers.linop_change_of_basis)."""
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_verdicts_equal_the_linop_oracle(self, families, n):
+        report = change_of_basis_check(n, families[n])
+        assert report == linop_change_of_basis(n, families[n])
+        assert all(e["status"] == "pass" for e in report)
+
+    @staticmethod
+    def _fails_both_ways(fam, failed: dict):
+        """Both routes give the same report, and it fails exactly the entries
+        of failed, each with its witness (None for none)."""
+        report = change_of_basis_check(fam.n, fam)
+        assert report == linop_change_of_basis(fam.n, fam)
+        assert {e["identity_id"]: e.get("witness") for e in report if e["status"] == "fail"} == failed
+
+    @pytest.mark.parametrize(("i", "l", "witness"), ((1, 2, "X^(1)"), (2, 3, "X^(2)"), (2, 2, "lambda(n-2) != 1")))
+    def test_a_perturbed_lambda_fails_both_ways(self, monkeypatch, families, i, l, witness):
+        original, q = xcalc.lambda_coeff, RatFunc.from_poly(LaurentPoly.q_pow(1))
+        monkeypatch.setattr(xcalc, "lambda_coeff",
+                            lambda n, a, b: original(n, a, b) + q if (a, b) == (i, l) else original(n, a, b))
+        self._fails_both_ways(families[3], {"i-to-x-change-of-basis": witness})
+
+    @pytest.mark.parametrize("i", (1, 3))
+    def test_a_perturbed_braid_coefficient_fails_both_ways(self, monkeypatch, families, i):
+        original, q = xcalc.braid_i_coeff, RatFunc.from_poly(LaurentPoly.q_pow(1))
+        monkeypatch.setattr(xcalc, "braid_i_coeff", lambda n, a: original(n, a) + q if a == i else original(n, a))
+        self._fails_both_ways(families[3], {"braiding-in-i-basis": None})
+
+    def test_a_projector_that_is_not_idempotent_fails_both_ways(self, monkeypatch, families):
+        # TestRanks' planted fault: P + E with E a unit off the diagonal, at
+        # an empty column and an empty row of P, so (P + E)^2 = P
+        spectral = xcalc.spectral_basis
+
+        def perturbed(rank, fam=None):
+            spec = spectral(rank, fam)
+            p = spec.projectors[0]
+            rows = {r for col in p.cols.values() for r in col}
+            j, k = [key for key in sig_keys(("S", "S"), rank) if key not in p.cols and key not in rows][:2]
+            p.set_entry(k, j, RatFunc.one())
+            return spec
+
+        monkeypatch.setattr(xcalc, "spectral_basis", perturbed)
+        self._fails_both_ways(families[2], {
+            "projector-orthogonality": None, "bigon-composition": None, "i-to-x-change-of-basis": "X^(2)",
+            "x-top-is-bigon": None, "braiding-in-i-basis": None, "isotypic-ranks": "projector 0 is not idempotent"})
+
+    def test_the_steps_and_no_operator_products(self, monkeypatch, families):
+        # every column of S (x) S (64 at n = 3) is pushed once through each of
+        # the 4 projector numerators, the 4 letters X^(k) and the 16 products
+        # N_a N_b; the bigon identities reuse the images of the orthogonality
+        # ones, and only spectral_basis multiplies operators
+        calls, products = _counted_steps(monkeypatch), _counted_products(monkeypatch)
+        change_of_basis_check(3, families[3])
+        assert 0 < len(calls) <= 1536
+        assert products["outside"] == 0 and products["inside"] > 0
+
+
+class TestPackedTraceRule:
+    """The m = 3 trace rule as closed column identities (xcalc._trace_rule)
+    against ptrace of the LinOp products it replaced (helpers.linop_trace_rule)."""
+
+    @pytest.mark.parametrize("n", RANKS)
+    def test_verdicts_equal_the_linop_oracle(self, families, n):
+        for three in (False, True):
+            assert xcalc._trace_rule(n, families[n], three) == linop_trace_rule(n, families[n], three) == (True, None)
+
+    @pytest.mark.parametrize("k", (0, 2, 3))
+    def test_a_perturbed_coefficient_fails_both_ways(self, monkeypatch, families, k):
+        from spinlink import iqsym
+
+        original, fam = iqsym.trace_rule_coeff, families[3]
+        monkeypatch.setattr(iqsym, "trace_rule_coeff",
+                            lambda n, j: original(n, j) + LaurentPoly.q_pow(1) if j == k else original(n, j))
+        for three, witness in ((False, f"m=2, k={k}"), (True, f"m=3, k={k}, j=0")):
+            assert xcalc._trace_rule(3, fam, three) == linop_trace_rule(3, fam, three) == (False, witness)
+        report = {e["identity_id"]: e for e in relation_suite(3, fam=fam)}
+        assert report["trace-rule"]["witness"] == f"m=3, k={k}, j=0"
+
+    def test_the_steps_and_no_operator_products(self, monkeypatch, families):
+        # each of the 15 dominant pairs of S (x) S at n = 3 starts at its 8
+        # closed columns (a, b, B), each pushed through the 4 letters X^(j) on
+        # strands 1, 2 and the 16 words X^(k)_2 X^(j)_1, and at (a, b) itself
+        # through the 4 letters X^(j): 15 (8 x 20 + 4) steps
+        calls, products = _counted_steps(monkeypatch), _counted_products(monkeypatch)
+        xcalc._trace_rule(3, families[3], True)
+        assert 0 < len(calls) <= 2460
+        assert products == {"inside": 0, "outside": 0}
 
 
 def _laurent_op(seed: int) -> LinOp:
