@@ -394,11 +394,10 @@ class _PackedIdentities:
     tuple of letters (i, name), the leftmost acting last, and a letter puts
     ops[name], a nonzero endomorphism of S (x) S with denominator 1, on
     strands i, i+1; another denominator raises ValueError.  Coefficients are
-    nonzero Laurent polynomials with integer coefficients.  An open term is
-    the coefficient times the word's image of the start column.  A closed
-    term closes strands past the start column: the word acts on the start
-    column followed by the states closing, and only the outputs that end in
-    closing are kept, with those strands cut off.  The partial trace of a
+    nonzero Laurent polynomials with integer coefficients.  A term is the
+    coefficient times the word's image of the start column followed by the
+    states closing, keeping only the outputs that end in closing, with those
+    strands cut off; an open term has closing ().  The partial trace of a
     word is the sum over every state B of closed terms at (B,), each with the
     closure weight of B as its coefficient.  A letter that acts past the last
     strand of its start raises ValueError when the columns are checked.
@@ -467,14 +466,11 @@ class _PackedIdentities:
                     for c, word, closing in terms:
                         start = column + closing
                         images = starts.get(start) or starts.setdefault(start, {(): {start: 1}})
-                        if closing:  # open terms skip the two slices per state (10% of the Serre battery)
-                            for state, x in self.image(word, images).items():
-                                if state[width:] == closing:
-                                    state = state[:width]
-                                    acc[state] = get(state, 0) + c * x
-                        else:
-                            for state, x in self.image(word, images).items():
-                                acc[state] = get(state, 0) + c * x
+                        vec = self.image(word, images)
+                        if closing:  # an open term reads its image as it is, with no copy
+                            vec = {s[:width]: x for s, x in vec.items() if s[width:] == closing}
+                        for state, x in vec.items():
+                            acc[state] = get(state, 0) + c * x
                     ok[t] = not any(acc.values())
         return ok
 
